@@ -38,15 +38,23 @@ run_config() {
     VSC_THREADS="$threads" \
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
   done
+  # The compiled-output golden digests ride along: with the cache checker
+  # on, every lazily fetched analysis is compared with a fresh recompute.
   echo "=== [$name] oracle+alias-audit fuzz + analysis checking, seed base $FUZZ_SEED ==="
   VSC_FUZZ_SEED="$FUZZ_SEED" VSC_CHECK_ANALYSES=1 \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -R Fuzz
+    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+    -R 'Fuzz|CompileGolden'
   # The flow-sensitive alias tier and its dynamic audit are the soundness
   # backbone of every disambiguation consumer; run their suites explicitly
-  # so a filtered invocation above can never silently skip them.
-  echo "=== [$name] alias analysis + audit suites ==="
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-    -R 'MemAlias|ValueTrack|AliasClaimLog|AliasAudit'
+  # so a filtered invocation above can never silently skip them. The
+  # golden digests of compiled output (tests/test_compile_golden.cpp) pin
+  # every byte those consumers emit, at both thread counts.
+  for threads in 1 4; do
+    echo "=== [$name] alias analysis + audit + golden suites, VSC_THREADS=$threads ==="
+    VSC_THREADS="$threads" \
+      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+      -R 'MemAlias|ValueTrack|AliasClaimLog|AliasAudit|CompileGolden'
+  done
   # Exact software pipelining: the min-II analysis, the branch-and-bound
   # scheduler's verdicts, and the Grade/Apply wiring (Apply through the
   # full audited pipeline, thread-invariant). The fuzz run above already

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <deque>
-#include <map>
 #include <sstream>
 
 using namespace vsc;
@@ -95,15 +93,12 @@ AbsVal AliasAnalysis::freshValue(const Instr &I, Reg R, bool Once) {
   uint64_t Key = (uint64_t(I.Id) << 32) |
                  (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
                  (R.id() & 0x3fffffffu);
-  auto It = ValueNumbers.find(Key);
-  uint64_t Vn;
-  if (It != ValueNumbers.end()) {
-    Vn = It->second;
-  } else {
-    Vn = NextVn++;
-    ValueNumbers.emplace(Key, Vn);
-    ValueOnce.emplace(Vn, Once);
+  auto [It, Fresh] = ValueNumbers.try_emplace(Key, NextVn);
+  if (Fresh) {
+    ++NextVn;
+    ValueOnce.push_back(Once);
   }
+  uint64_t Vn = It->second;
   AbsVal V;
   V.K = Base::Value;
   V.Vn = Vn;
@@ -113,12 +108,16 @@ AbsVal AliasAnalysis::freshValue(const Instr &I, Reg R, bool Once) {
   return V;
 }
 
-AbsVal AliasAnalysis::get(const State &S, Reg R) const {
-  auto It = S.Regs.find(R);
-  if (It != S.Regs.end())
-    return It->second;
-  // Unwritten since entry on every path into this state.
-  return entryValue(R);
+AbsVal AliasAnalysis::get(const AbsVal *S, Reg R) const {
+  uint32_t Slot = slotOf(R);
+  // A register without a slot is never written: it holds its entry value.
+  return Slot == NoSlot ? entryValue(R) : S[Slot];
+}
+
+void AliasAnalysis::set(AbsVal *S, Reg R, const AbsVal &V) const {
+  uint32_t Slot = slotOf(R);
+  assert(Slot != NoSlot && "write to a register build() gave no slot");
+  S[Slot] = V;
 }
 
 uint32_t AliasAnalysis::intern(const std::string &Sym) {
@@ -135,11 +134,11 @@ uint32_t AliasAnalysis::intern(const std::string &Sym) {
 // Transfer function
 //===----------------------------------------------------------------------===//
 
-void AliasAnalysis::transfer(const Instr &I, State &S, bool Once) {
+void AliasAnalysis::transfer(const Instr &I, AbsVal *S, bool Once) {
   switch (I.Op) {
   case Opcode::LR:
     if (I.Dst.isGpr())
-      S.Regs[I.Dst] = get(S, I.Src1);
+      set(S, I.Dst, get(S, I.Src1));
     return;
   case Opcode::LTOC: {
     AbsVal V;
@@ -147,15 +146,15 @@ void AliasAnalysis::transfer(const Instr &I, State &S, bool Once) {
     V.Sym = intern(I.Sym);
     V.HasOff = true;
     V.Off = 0;
-    S.Regs[I.Dst] = V;
+    set(S, I.Dst, V);
     return;
   }
   case Opcode::LA:
   case Opcode::AI:
-    S.Regs[I.Dst] = addImm(get(S, I.Src1), I.Imm);
+    set(S, I.Dst, addImm(get(S, I.Src1), I.Imm));
     return;
   case Opcode::SI:
-    S.Regs[I.Dst] = addImm(get(S, I.Src1), -I.Imm);
+    set(S, I.Dst, addImm(get(S, I.Src1), -I.Imm));
     return;
   case Opcode::A: {
     // Pointer + index: keep the region, lose the offset. Anything else
@@ -167,9 +166,9 @@ void AliasAnalysis::transfer(const Instr &I, State &S, bool Once) {
     if (P1 != P2) {
       AbsVal R = P1 ? V1 : V2;
       R.HasOff = false;
-      S.Regs[I.Dst] = R;
+      set(S, I.Dst, R);
     } else {
-      S.Regs[I.Dst] = freshValue(I, I.Dst, Once);
+      set(S, I.Dst, freshValue(I, I.Dst, Once));
     }
     return;
   }
@@ -178,8 +177,8 @@ void AliasAnalysis::transfer(const Instr &I, State &S, bool Once) {
     // update is a tracked add-immediate.
     Reg BaseReg = I.Src1;
     AbsVal Updated = addImm(get(S, BaseReg), I.Imm);
-    S.Regs[I.Dst] = freshValue(I, I.Dst, Once);
-    S.Regs[BaseReg] = Updated;
+    set(S, I.Dst, freshValue(I, I.Dst, Once));
+    set(S, BaseReg, Updated);
     return;
   }
   default:
@@ -187,37 +186,29 @@ void AliasAnalysis::transfer(const Instr &I, State &S, bool Once) {
   }
   // Everything else (arithmetic, loads, call clobbers, ...): each defined
   // GPR gets a fresh value numbered by this site.
-  std::vector<Reg> Defs;
-  I.collectDefs(Defs);
-  for (Reg D : Defs)
+  DefBuf.clear();
+  I.collectDefs(DefBuf);
+  for (Reg D : DefBuf)
     if (D.isGpr())
-      S.Regs[D] = freshValue(I, D, Once);
+      set(S, D, freshValue(I, D, Once));
 }
 
 //===----------------------------------------------------------------------===//
 // Fixpoint
 //===----------------------------------------------------------------------===//
 
-bool AliasAnalysis::joinInto(State &Dst, const State &Src) const {
-  if (!Dst.Reached) {
-    Dst = Src;
-    Dst.Reached = true;
+bool AliasAnalysis::joinInto(size_t To, const AbsVal *Src) {
+  AbsVal *Dst = BlockIn.data() + To * NumSlots;
+  if (!Reached[To]) {
+    std::copy(Src, Src + NumSlots, Dst);
+    Reached[To] = true;
     return true;
   }
   bool Changed = false;
-  // Union of keys: a register missing from a state means "entry value on
-  // every path", which get() supplies.
-  std::vector<Reg> Keys;
-  for (const auto &KV : Dst.Regs)
-    Keys.push_back(KV.first);
-  for (const auto &KV : Src.Regs)
-    if (!Dst.Regs.count(KV.first))
-      Keys.push_back(KV.first);
-  for (Reg R : Keys) {
-    AbsVal Old = get(Dst, R);
-    AbsVal New = join(Old, get(Src, R));
-    if (New != Old) {
-      Dst.Regs[R] = New;
+  for (size_t S = 0; S != NumSlots; ++S) {
+    AbsVal New = join(Dst[S], Src[S]);
+    if (New != Dst[S]) {
+      Dst[S] = New;
       Changed = true;
     }
   }
@@ -242,83 +233,122 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
 void AliasAnalysis::build(const Function &F, const Cfg &G,
                           const LoopInfo &LI) {
   FnName = F.name();
+  ValueOnce.push_back(false); // value numbers start at 1
 
-  // Pre-intern the entry value of every register the function reads, so
-  // get() never needs to mint state from const context.
-  {
-    std::vector<Reg> Uses;
-    for (const auto &BB : F.blocks())
-      for (const Instr &I : BB->instrs()) {
-        Uses.clear();
-        I.collectUses(Uses);
-        for (Reg R : Uses)
-          if (R.isGpr() && R != regs::sp()) {
-            uint64_t Key =
-                (uint64_t(0) << 32) |
-                (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
-                (R.id() & 0x3fffffffu);
-            auto It = ValueNumbers.find(Key);
-            if (It == ValueNumbers.end()) {
-              ValueNumbers.emplace(Key, NextVn);
-              ValueOnce.emplace(NextVn, true);
-              ++NextVn;
-            }
+  // One walk over the function: pre-intern the entry value of every
+  // register it reads (so get() never mints state from const context),
+  // give every GPR it writes a slot, and size the access table.
+  uint32_t MaxAccessId = 0;
+  bool AnyAccess = false;
+  std::vector<Reg> Regs;
+  for (const auto &BB : F.blocks())
+    for (const Instr &I : BB->instrs()) {
+      Regs.clear();
+      I.collectUses(Regs);
+      for (Reg R : Regs)
+        if (R.isGpr() && R != regs::sp()) {
+          uint64_t Key =
+              (uint64_t(0) << 32) |
+              (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
+              (R.id() & 0x3fffffffu);
+          if (ValueNumbers.try_emplace(Key, NextVn).second) {
+            ValueOnce.push_back(true);
+            ++NextVn;
           }
+        }
+      Regs.clear();
+      I.collectDefs(Regs);
+      for (Reg R : Regs) {
+        if (!R.isGpr())
+          continue;
+        if (R.id() >= SlotOfGpr.size())
+          SlotOfGpr.resize(R.id() + 1, NoSlot);
+        if (SlotOfGpr[R.id()] == NoSlot)
+          SlotOfGpr[R.id()] = static_cast<uint32_t>(NumSlots++);
       }
-  }
+      if (I.isMemAccess()) {
+        MaxAccessId = std::max(MaxAccessId, I.Id);
+        AnyAccess = true;
+      }
+    }
+  if (AnyAccess)
+    Accesses.resize(size_t(MaxAccessId) + 1);
 
   const std::vector<BasicBlock *> &Rpo = G.rpo();
   if (Rpo.empty())
     return;
 
-  std::unordered_map<const BasicBlock *, State> In;
-  In[Rpo.front()].Reached = true; // entry: every register at entry value
+  // The CFG in reverse-postorder positions: per block its loop-freedom
+  // and its successors' positions (flattened, SuccBegin-delimited).
+  size_t NumBlocks = Rpo.size();
+  std::vector<uint8_t> OnceAt(NumBlocks);
+  std::vector<uint32_t> SuccBegin(NumBlocks + 1, 0), Succs;
+  for (size_t B = 0; B != NumBlocks; ++B) {
+    OnceAt[B] = LI.loopFor(Rpo[B]) == nullptr;
+    for (const CfgEdge &E : G.succs(Rpo[B]))
+      Succs.push_back(static_cast<uint32_t>(G.rpoIndex(E.To)));
+    SuccBegin[B + 1] = static_cast<uint32_t>(Succs.size());
+  }
+
+  // Entry: every register at its entry value.
+  std::vector<AbsVal> Slots(NumSlots);
+  for (uint32_t Id = 0; Id != SlotOfGpr.size(); ++Id)
+    if (SlotOfGpr[Id] != NoSlot)
+      Slots[SlotOfGpr[Id]] = entryValue(Reg::gpr(Id));
+  BlockIn.resize(NumBlocks * NumSlots);
+  Reached.assign(NumBlocks, 0);
+  std::copy(Slots.begin(), Slots.end(), BlockIn.begin());
+  Reached[0] = true;
 
   // Round-robin over reverse postorder until stable. The lattice is
   // shallow (Bottom < concrete < region+⊤ < Top per register) and value
   // numbers are memoized by defining site, so this converges quickly.
+  // Slots doubles as the out-state buffer.
   bool Changed = true;
   unsigned Guard = 0;
   while (Changed && Guard++ < 64) {
     Changed = false;
-    for (BasicBlock *BB : Rpo) {
-      State &InS = In[BB];
-      if (!InS.Reached)
+    for (size_t B = 0; B != NumBlocks; ++B) {
+      if (!Reached[B])
         continue;
-      bool Once = LI.loopFor(BB) == nullptr;
-      State Out = InS;
-      for (const Instr &I : BB->instrs())
-        transfer(I, Out, Once);
-      for (const CfgEdge &E : G.succs(BB))
-        if (joinInto(In[E.To], Out))
+      const AbsVal *In = BlockIn.data() + B * NumSlots;
+      std::copy(In, In + NumSlots, Slots.begin());
+      for (const Instr &I : Rpo[B]->instrs())
+        transfer(I, Slots.data(), OnceAt[B]);
+      for (uint32_t E = SuccBegin[B]; E != SuccBegin[B + 1]; ++E)
+        if (joinInto(Succs[E], Slots.data()))
           Changed = true;
     }
   }
 
   // Recording walk: replay each block once, resolving every memory
   // access's location (pre-update base for LU) keyed by instruction id.
-  for (BasicBlock *BB : Rpo) {
-    State Cur = In[BB];
-    if (!Cur.Reached)
+  RpoOfLabel.reserve(NumBlocks);
+  for (size_t B = 0; B != NumBlocks; ++B) {
+    RpoOfLabel.emplace(Rpo[B]->label(), static_cast<uint32_t>(B));
+    if (!Reached[B])
       continue;
-    bool Once = LI.loopFor(BB) == nullptr;
-    for (const Instr &I : BB->instrs()) {
-      if (I.isMemAccess())
-        Accesses[I.Id] = addImm(get(Cur, I.memBase()), I.memDisp());
-      transfer(I, Cur, Once);
+    const AbsVal *In = BlockIn.data() + B * NumSlots;
+    std::copy(In, In + NumSlots, Slots.begin());
+    for (const Instr &I : Rpo[B]->instrs()) {
+      if (I.isMemAccess()) {
+        AbsVal L = addImm(get(Slots.data(), I.memBase()), I.memDisp());
+        assert(L.K != Base::Bottom && "reached states never hold Bottom");
+        Accesses[I.Id] = L;
+      }
+      transfer(I, Slots.data(), OnceAt[B]);
     }
-    BlockIn[BB->label()] = std::move(In[BB]);
   }
 }
 
 AbsVal AliasAnalysis::pointsTo(Reg R, const BasicBlock *BB) const {
-  auto It = BlockIn.find(BB->label());
-  if (It == BlockIn.end() || !It->second.Reached) {
+  auto It = RpoOfLabel.find(BB->label());
+  if (It == RpoOfLabel.end() || !Reached[It->second]) {
     AbsVal T;
     T.K = Base::Top;
     return T;
   }
-  return get(It->second, R);
+  return get(BlockIn.data() + It->second * NumSlots, R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -468,14 +498,9 @@ std::string AliasAnalysis::str(const AbsVal &V) const {
 }
 
 std::string AliasAnalysis::summarize() const {
-  std::vector<std::pair<uint32_t, const AbsVal *>> Sorted;
-  Sorted.reserve(Accesses.size());
-  for (const auto &KV : Accesses)
-    Sorted.emplace_back(KV.first, &KV.second);
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
   std::ostringstream OS;
-  for (const auto &KV : Sorted)
-    OS << KV.first << ":" << str(*KV.second) << ";";
+  for (uint32_t Id = 0; Id != Accesses.size(); ++Id)
+    if (const AbsVal *L = location(Id))
+      OS << Id << ":" << str(*L) << ";";
   return OS.str();
 }

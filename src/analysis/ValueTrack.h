@@ -40,6 +40,11 @@
 /// therefore position-independent: any instruction copy that preserves
 /// the id (block probes, audit snapshots) can be queried.
 ///
+/// States are dense: every GPR the function writes gets a slot, a state
+/// is one AbsVal per slot, and the block-entry states sit in one flat
+/// array indexed by reverse-postorder position. A register without a
+/// slot holds its entry value everywhere.
+///
 /// Every NoAlias verdict is tagged with the AliasClaimKind window it is
 /// claimed over and, when a claim sink is installed (the pipeline's
 /// alias-audit mode), reported for later dynamic validation.
@@ -97,12 +102,12 @@ public:
   /// An abstract pointer value (see the file comment for the lattice).
   struct AbsVal {
     enum class Base : uint8_t { Bottom, Global, Stack, Value, Top };
-    Base K = Base::Bottom;
-    uint32_t Sym = 0;  ///< interned symbol index (Base::Global)
+    int64_t Off = 0;
     uint64_t Vn = 0;   ///< value number (Base::Value)
+    uint32_t Sym = 0;  ///< interned symbol index (Base::Global)
+    Base K = Base::Bottom;
     bool Once = false; ///< Value: defining site runs <= once per invocation
     bool HasOff = false;
-    int64_t Off = 0;
 
     bool sameBase(const AbsVal &O) const {
       if (K != O.K)
@@ -135,8 +140,9 @@ public:
   /// this analysis never saw (e.g. bookkeeping copies minted after it was
   /// computed). ST/L/LU all resolve through their pre-update base.
   const AbsVal *location(uint32_t Id) const {
-    auto It = Accesses.find(Id);
-    return It == Accesses.end() ? nullptr : &It->second;
+    if (Id >= Accesses.size() || Accesses[Id].K == AbsVal::Base::Bottom)
+      return nullptr;
+    return &Accesses[Id];
   }
 
   /// Abstract value of \p R at entry to \p BB — the pointsTo query.
@@ -163,19 +169,23 @@ public:
   std::string summarize() const;
 
 private:
-  struct State {
-    std::unordered_map<Reg, AbsVal, RegHash> Regs;
-    bool Reached = false;
-  };
+  static constexpr uint32_t NoSlot = ~0u;
 
   void build(const Function &F, const Cfg &G, const LoopInfo &LI);
-  AbsVal get(const State &S, Reg R) const;
+  uint32_t slotOf(Reg R) const {
+    return R.isGpr() && R.id() < SlotOfGpr.size() ? SlotOfGpr[R.id()]
+                                                   : NoSlot;
+  }
+  /// \p S points at one state: an AbsVal per slot.
+  AbsVal get(const AbsVal *S, Reg R) const;
+  void set(AbsVal *S, Reg R, const AbsVal &V) const;
   AbsVal entryValue(Reg R) const;
   AbsVal freshValue(const Instr &I, Reg R, bool Once);
-  void transfer(const Instr &I, State &S, bool Once);
+  void transfer(const Instr &I, AbsVal *S, bool Once);
   static AbsVal addImm(AbsVal V, int64_t Imm);
   static AbsVal join(const AbsVal &A, const AbsVal &B);
-  bool joinInto(State &Dst, const State &Src) const;
+  /// Joins \p Src into the entry state of reverse-postorder block \p To.
+  bool joinInto(size_t To, const AbsVal *Src);
   uint32_t intern(const std::string &Sym);
 
   /// Lattice verdict for two resolved locations (sizes from the instrs).
@@ -189,13 +199,25 @@ private:
   /// (defining instruction id, register) -> value number. Entry live-ins
   /// use id 0 (instruction ids start at 1).
   std::unordered_map<uint64_t, uint64_t> ValueNumbers;
-  std::unordered_map<uint64_t, bool> ValueOnce;
+  /// Per value number: its defining site runs at most once per invocation.
+  std::vector<uint8_t> ValueOnce;
   uint64_t NextVn = 1;
-  /// Resolved location per memory-access instruction id.
-  std::unordered_map<uint32_t, AbsVal> Accesses;
-  /// Block-entry states for pointsTo; keyed by block label (stable across
-  /// the instruction-level edits that preserve this analysis).
-  std::unordered_map<std::string, State> BlockIn;
+  /// Slot of each written GPR, indexed by register id (NoSlot otherwise).
+  std::vector<uint32_t> SlotOfGpr;
+  size_t NumSlots = 0;
+  /// Resolved location per memory-access instruction id; Bottom marks an
+  /// id that is no recorded access (reached states never hold Bottom).
+  std::vector<AbsVal> Accesses;
+  /// Block-entry states, NumSlots values per reverse-postorder position,
+  /// and which positions the fixpoint reached.
+  std::vector<AbsVal> BlockIn;
+  std::vector<uint8_t> Reached;
+  /// Block label -> reverse-postorder position, for pointsTo (labels are
+  /// stable across the instruction-level edits that preserve this
+  /// analysis).
+  std::unordered_map<std::string, uint32_t> RpoOfLabel;
+  /// The def buffer transfer() reuses.
+  std::vector<Reg> DefBuf;
 };
 
 } // namespace vsc

@@ -437,6 +437,18 @@ static bool licmOnLoop(Function &F, Loop &L, const Cfg &G,
   return Changed;
 }
 
+/// \returns true if \p L holds both a plain non-volatile load and a store:
+/// the only loops whose licmOnLoop asks an alias query.
+static bool loadsAndStores(const Loop *L) {
+  bool Load = false, Store = false;
+  for (const BasicBlock *BB : L->Blocks)
+    for (const Instr &I : BB->instrs()) {
+      Load |= I.Op == Opcode::L && !I.IsVolatile;
+      Store |= I.isStore();
+    }
+  return Load && Store;
+}
+
 bool vsc::classicalLicm(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
   bool Any = false;
   bool Changed = true;
@@ -445,11 +457,17 @@ bool vsc::classicalLicm(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
     Changed = false;
     const Cfg &G = FA.cfg();
     const Dominators &Dom = FA.dominators();
-    // The pointer stays valid through licmOnLoop: preheader creation and
-    // invariant hoisting change neither the base-register contents any
-    // surviving instruction observes nor the queried instructions' blocks.
-    const AliasAnalysis *AA = FlowAlias ? &FA.aliasAnalysis() : nullptr;
-    for (Loop *L : FA.loops().innermostLoops()) {
+    std::vector<Loop *> Innermost = FA.loops().innermostLoops();
+    // licmOnLoop queries alias facts only for a plain load in a loop that
+    // also stores, so only such a loop pays for building them. The pointer
+    // stays valid through licmOnLoop: preheader creation and invariant
+    // hoisting change neither the base-register contents any surviving
+    // instruction observes nor the queried instructions' blocks.
+    const AliasAnalysis *AA = nullptr;
+    if (FlowAlias &&
+        std::any_of(Innermost.begin(), Innermost.end(), loadsAndStores))
+      AA = &FA.aliasAnalysis();
+    for (Loop *L : Innermost) {
       if (licmOnLoop(F, *L, G, Dom, AA)) {
         // Hoisting moved instructions (and may have made a preheader);
         // drop everything and recompute on the next round.

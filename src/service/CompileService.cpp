@@ -147,12 +147,16 @@ struct CompileService::Impl {
   }
 
   /// module -> run-ready training clone (pdf/PdfExperiment.h stage).
+  /// Module-derived keys fold the printed module's hash next to its CFG
+  /// fingerprint: two programs can share a CFG shape (block and edge
+  /// labels) while their instructions differ.
   std::shared_ptr<const Artifact>
   preparedArt(const std::shared_ptr<const Artifact> &Frontend,
               uint64_t *KeyOut) {
     const ModuleBody &Src = moduleBody(*Frontend);
-    uint64_t Key = fnv1aWords(
-        {Src.CfgFp, optionsFingerprint(OptLevel::None, PipelineOptions())});
+    uint64_t Key =
+        fnv1aWords({Src.CfgFp, Src.IrHash,
+                    optionsFingerprint(OptLevel::None, PipelineOptions())});
     if (KeyOut)
       *KeyOut = Key;
     ArtifactKey K{ArtifactClass::Prepared, Key};
@@ -176,8 +180,8 @@ struct CompileService::Impl {
                PipelineOptions Opts, uint64_t KeySalt, uint64_t *KeyOut) {
     const ModuleBody &Src = moduleBody(*Frontend);
     Opts.Threads = 1;
-    uint64_t Key =
-        fnv1aWords({Src.CfgFp, optionsFingerprint(L, Opts), KeySalt});
+    uint64_t Key = fnv1aWords(
+        {Src.CfgFp, Src.IrHash, optionsFingerprint(L, Opts), KeySalt});
     if (KeyOut)
       *KeyOut = Key;
     ArtifactKey K{ArtifactClass::Optimized, Key};

@@ -448,7 +448,6 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
   for (unsigned Guard = 0; Guard < 64; ++Guard) {
     const Cfg &G = FA.cfg();
     const Liveness &Live = FA.liveness();
-    const AliasAnalysis *AA = Opts.FlowAlias ? &FA.aliasAnalysis() : nullptr;
     bool Changed = false;
     for (auto &BBPtr : F.blocks()) {
       BasicBlock *BB = BBPtr.get();
@@ -468,8 +467,10 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
     }
     if (!Changed)
       Changed = coalesceOnce(F, G, Live);
-    if (!Changed && AA)
-      Changed = forwardStoreToLoadOnce(F, G, AA);
+    // Alias facts only where a query follows: nothing above changed the
+    // function this round, so they describe the code the round began with.
+    if (!Changed && Opts.FlowAlias)
+      Changed = forwardStoreToLoadOnce(F, G, &FA.aliasAnalysis());
     if (!Changed)
       break;
     FA.invalidateAll();

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <span>
 
 using namespace vsc;
 
@@ -153,63 +154,88 @@ private:
 // Dependences
 //===----------------------------------------------------------------------===//
 
-/// \returns the scope an alias query between Ins[I] and Ins[J] (I < J,
-/// same straight-line sequence) may be issued under. Both accesses sit in
+/// The register defs and uses of each instruction in a straight-line
+/// prefix Ins[0..N), collected once so the pairwise dependence tests below
+/// allocate nothing.
+class DefUseTable {
+public:
+  DefUseTable(const std::vector<Instr> &Ins, size_t N) : Ins(Ins) {
+    Begin.reserve(2 * N + 1);
+    Begin.push_back(0);
+    for (size_t I = 0; I != N; ++I) {
+      Ins[I].collectDefs(Regs);
+      Begin.push_back(static_cast<uint32_t>(Regs.size()));
+      Ins[I].collectUses(Regs);
+      Begin.push_back(static_cast<uint32_t>(Regs.size()));
+    }
+  }
+
+  const Instr &instr(size_t I) const { return Ins[I]; }
+  std::span<const Reg> defs(size_t I) const { return range(2 * I); }
+  std::span<const Reg> uses(size_t I) const { return range(2 * I + 1); }
+
+private:
+  std::span<const Reg> range(size_t K) const {
+    return {Regs.data() + Begin[K], Regs.data() + Begin[K + 1]};
+  }
+
+  const std::vector<Instr> &Ins;
+  std::vector<Reg> Regs;
+  std::vector<uint32_t> Begin; ///< defs of I: [2I, 2I+1), uses: [2I+1, 2I+2)
+};
+
+bool contains(std::span<const Reg> Rs, Reg R) {
+  return std::find(Rs.begin(), Rs.end(), R) != Rs.end();
+}
+
+/// \returns the scope an alias query between instructions \p I < \p J of
+/// one straight-line sequence may be issued under. Both accesses sit in
 /// one execution of the block; SameExecution additionally promises that no
 /// instruction between them redefines a base register they share, which is
 /// what the same-base displacement reasoning of the syntactic tier needs.
-AliasScope memScopeFor(const std::vector<Instr> &Ins, size_t I, size_t J) {
-  if (!Ins[I].isMemAccess() || !Ins[J].isMemAccess())
-    return AliasScope::SameExecution; // no memory query will be issued
-  Reg B = Ins[I].memBase();
-  if (B != Ins[J].memBase())
+AliasScope memScopeFor(const DefUseTable &T, size_t I, size_t J) {
+  Reg B = T.instr(I).memBase();
+  if (B != T.instr(J).memBase())
     return AliasScope::SameExecution; // no shared base to redefine
-  std::vector<Reg> Defs;
-  for (size_t K = I + 1; K < J; ++K) {
-    Defs.clear();
-    Ins[K].collectDefs(Defs);
-    if (std::find(Defs.begin(), Defs.end(), B) != Defs.end())
+  for (size_t K = I + 1; K < J; ++K)
+    if (contains(T.defs(K), B))
       return AliasScope::CrossExecution;
-  }
   return AliasScope::SameExecution;
 }
 
-/// \returns true if \p Later must not move above \p Earlier.
-bool dependsOn(const Instr &Later, const Instr &Earlier, AliasScope Scope,
+/// \returns true if instruction \p Later of \p T must not move above
+/// instruction \p Earlier (Earlier < Later).
+bool dependsOn(const DefUseTable &T, size_t Later, size_t Earlier,
                const AliasAnalysis *AA) {
-  std::vector<Reg> EDefs, EUses, LDefs, LUses;
-  Earlier.collectDefs(EDefs);
-  Earlier.collectUses(EUses);
-  Later.collectDefs(LDefs);
-  Later.collectUses(LUses);
-  auto Intersects = [](const std::vector<Reg> &A, const std::vector<Reg> &B) {
+  auto Intersects = [](std::span<const Reg> A, std::span<const Reg> B) {
     for (Reg R : A)
-      if (std::find(B.begin(), B.end(), R) != B.end())
+      if (contains(B, R))
         return true;
     return false;
   };
-  if (Intersects(EDefs, LUses)) // flow
+  if (Intersects(T.defs(Earlier), T.uses(Later))) // flow
     return true;
-  if (Intersects(EUses, LDefs)) // anti
+  if (Intersects(T.uses(Earlier), T.defs(Later))) // anti
     return true;
-  if (Intersects(EDefs, LDefs)) // output
+  if (Intersects(T.defs(Earlier), T.defs(Later))) // output
     return true;
 
   // Memory and call ordering.
+  const Instr &E = T.instr(Earlier), &L = T.instr(Later);
   auto IsOpaqueCall = [](const Instr &I) {
     return I.isCall() && !isMemoryInertCall(I);
   };
-  if (Earlier.isCall() && Later.isCall())
+  if (E.isCall() && L.isCall())
     return true; // output order of I/O, and opaque side effects
-  if ((IsOpaqueCall(Earlier) && Later.isMemAccess()) ||
-      (IsOpaqueCall(Later) && Earlier.isMemAccess()))
+  if ((IsOpaqueCall(E) && L.isMemAccess()) ||
+      (IsOpaqueCall(L) && E.isMemAccess()))
     return true;
-  if (Earlier.isMemAccess() && Later.isMemAccess()) {
-    if (Earlier.IsVolatile && Later.IsVolatile)
+  if (E.isMemAccess() && L.isMemAccess()) {
+    if (E.IsVolatile && L.IsVolatile)
       return true; // volatile order is architectural
-    if (Earlier.isStore() || Later.isStore()) {
-      AliasResult R = AA ? AA->alias(Earlier, Later, Scope)
-                         : alias(Earlier, Later, Scope);
+    if (E.isStore() || L.isStore()) {
+      AliasScope Scope = memScopeFor(T, Earlier, Later);
+      AliasResult R = AA ? AA->alias(E, L, Scope) : alias(E, L, Scope);
       if (R != AliasResult::NoAlias)
         return true;
     }
@@ -231,9 +257,10 @@ Dag buildDag(const std::vector<Instr> &Ins, size_t N, const MachineModel &MM,
   Dag D;
   D.Preds.assign(N, {});
   D.Height.assign(N, 0);
+  DefUseTable T(Ins, N);
   for (size_t J = 0; J != N; ++J)
     for (size_t I = 0; I != J; ++I)
-      if (dependsOn(Ins[J], Ins[I], memScopeFor(Ins, I, J), AA))
+      if (dependsOn(T, J, I, AA))
         D.Preds[J].push_back(static_cast<unsigned>(I));
   // Heights: latency-weighted longest path to the end of the block, plus a
   // bonus for compares feeding any terminator of the block (they want to
@@ -516,13 +543,13 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
     };
 
     size_t STerm = S->firstTerminatorIdx();
+    DefUseTable SDefUse(S->instrs(), STerm);
     for (size_t J = 0; J != STerm; ++J) {
       const Instr &Cand = S->instrs()[J];
       // Must be movable to the top of S.
       bool Blocked = false;
       for (size_t K = 0; K != J && !Blocked; ++K)
-        if (dependsOn(Cand, S->instrs()[K], memScopeFor(S->instrs(), K, J),
-                      AA))
+        if (dependsOn(SDefUse, J, K, AA))
           Blocked = true;
       if (Blocked)
         continue;

@@ -255,6 +255,107 @@ next:
   EXPECT_EQ(AA.str(AA.pointsTo(regs::sp(), Next)), "stack+0");
 }
 
+TEST(ValueTrack, LocationOfIdMintedAfterBuildIsNull) {
+  auto M = parseOrDie(R"(
+global a : 16
+func main(0) {
+entry:
+  LTOC r32 = .a
+  L r40 = 8(r32)
+  LR r3 = r40
+  RET
+}
+)");
+  Function &F = *M->findFunction("main");
+  AliasAnalysis AA(F);
+  const Instr &Load = memAccessAt(F, 0);
+  ASSERT_NE(AA.location(Load.Id), nullptr);
+  EXPECT_EQ(AA.str(*AA.location(Load.Id)), "&a+8");
+  // A bookkeeping copy minted after the build has an id the analysis
+  // never saw, past the end of its access table.
+  Instr Copy = Load;
+  F.assignId(Copy);
+  EXPECT_EQ(AA.location(Copy.Id), nullptr);
+  // Ids inside the table that are no memory access resolve to nothing.
+  EXPECT_EQ(AA.location(F.blocks()[0]->instrs()[0].Id), nullptr);
+  EXPECT_EQ(AA.location(0), nullptr);
+}
+
+TEST(ValueTrack, PointsToOnUnreachableBlockIsTop) {
+  auto M = parseOrDie(R"(
+global a : 16
+func main(0) {
+entry:
+  LTOC r32 = .a
+  LI r3 = 0
+  RET
+dead:
+  AI r32 = r32, 4
+  L r40 = 0(r32)
+  RET
+}
+)");
+  Function &F = *M->findFunction("main");
+  AliasAnalysis AA(F);
+  const BasicBlock *Dead = F.findBlock("dead");
+  EXPECT_EQ(AA.str(AA.pointsTo(Reg::gpr(32), Dead)), "top");
+  EXPECT_EQ(AA.str(AA.pointsTo(regs::sp(), Dead)), "top");
+  // Its access was never replayed either.
+  EXPECT_EQ(AA.location(memAccessAt(F, 0).Id), nullptr);
+}
+
+// Registers that get a state slot read back exactly as the analysis
+// always reported them: a register written but never read, an LU base
+// update, and the GPRs a CALL clobbers. Registers without a slot read
+// their entry value.
+TEST(ValueTrack, PointsToReadsBackSlottedRegisters) {
+  auto M = parseOrDie(R"(
+global a : 64
+func main(1) {
+entry:
+  LTOC r32 = .a
+  LI r36 = 7
+  LU r40 = 8(r32)
+  LR r3 = r40
+  CALL print_int, 1
+  B next
+next:
+  L r41 = 0(r32)
+  LR r3 = r4
+  RET
+}
+)");
+  Function &F = *M->findFunction("main");
+  AliasAnalysis AA(F);
+  const BasicBlock *Entry = F.findBlock("entry");
+  const BasicBlock *Next = F.findBlock("next");
+  auto At = [&](const BasicBlock *BB, Reg R) {
+    return AA.str(AA.pointsTo(R, BB));
+  };
+  // Written, never read: no entry value was interned, so Top before the
+  // write and the LI's fresh value after it.
+  EXPECT_EQ(At(Entry, Reg::gpr(36)), "top");
+  EXPECT_EQ(At(Next, Reg::gpr(36)), "v25!+0");
+  // LU: the loaded value is fresh, the base moved by the displacement.
+  EXPECT_EQ(At(Next, Reg::gpr(40)), "v26!+0");
+  EXPECT_EQ(At(Next, Reg::gpr(32)), "&a+8");
+  EXPECT_EQ(AA.str(*AA.location(memAccessAt(F, 0).Id)), "&a+8");
+  EXPECT_EQ(AA.str(*AA.location(memAccessAt(F, 1).Id)), "&a+8");
+  // CALL clobbers: r3 and r4 enter with their live-in values; r3, r4 and
+  // r12 leave the call with values numbered by the call site.
+  EXPECT_EQ(At(Entry, Reg::gpr(3)), "v3!+0");
+  EXPECT_EQ(At(Entry, Reg::gpr(4)), "v5!+0");
+  EXPECT_EQ(At(Next, Reg::gpr(3)), "v28!+0");
+  EXPECT_EQ(At(Next, Reg::gpr(4)), "v29!+0");
+  EXPECT_EQ(At(Next, Reg::gpr(12)), "v37!+0");
+  // No slot, so the entry value everywhere: callee-saved r13 is never
+  // written (RET reads it, which interned its live-in value), r1 never
+  // moves, and a CR is no GPR.
+  EXPECT_EQ(At(Next, Reg::gpr(13)), "v6!+0");
+  EXPECT_EQ(At(Next, regs::sp()), "stack+0");
+  EXPECT_EQ(At(Next, Reg::cr(0)), "top");
+}
+
 TEST(ValueTrack, LoopVaryingStackPointerDegradesToUnknownOffset) {
   auto M = parseOrDie(R"(
 func main(0) {

@@ -1,0 +1,187 @@
+//===- tests/test_compile_golden.cpp - Frozen compiled-output digests -----===//
+///
+/// Compile-time work must never change what the compiler emits. This suite
+/// freezes FNV-1a digests (service/Artifact.h's fnv1aBytes) of printModule
+/// output for
+///
+///  * every registry kernel x {Classical, Vliw} x {rs6000, power2, ppc601},
+///    compiled through optimizedClone at Threads=1;
+///  * the counter-instrumented training module,
+///    instrumentModule(*prepareForTraining(M));
+///  * the rs6000 counter-scheme PDF experiment's guided module, plus its
+///    baseline and guided cycle sums. Its Threads defers to VSC_THREADS,
+///    so running the suite at two thread counts checks the serial and the
+///    parallel paths.
+///
+/// A change that moves any of these bytes has to update the tables on
+/// purpose. On a mismatch each test prints its whole actual table in the
+/// initializer syntax used below.
+///
+//===----------------------------------------------------------------------===//
+
+#include "TestUtil.h"
+#include "pdf/PdfExperiment.h"
+#include "profile/Counters.h"
+#include "service/Artifact.h"
+#include "vliw/Pipeline.h"
+#include "workloads/Registry.h"
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+
+using namespace vsc;
+
+namespace {
+
+const char *const Machines[] = {"rs6000", "power2", "ppc601"};
+
+struct MatrixRow {
+  const char *Kernel;
+  uint64_t Classical[3]; ///< per Machines entry
+  uint64_t Vliw[3];
+};
+
+struct PdfRow {
+  const char *Kernel;
+  uint64_t Instrumented;
+  uint64_t Guided;
+  uint64_t BaselineCycles;
+  uint64_t GuidedCycles;
+};
+
+const MatrixRow GoldenMatrix[] = {
+    {"espresso",
+     {0x74e8f7e08e8259bf, 0x74e8f7e08e8259bf, 0x74e8f7e08e8259bf},
+     {0xbfd231cd515d41f6, 0x9670bb5677ca7a7e, 0xf56e38a3345d957a}},
+    {"li",
+     {0x85812564aef78e4a, 0x85812564aef78e4a, 0x85812564aef78e4a},
+     {0xa0900635249f18d1, 0x7b5bd436e4f91b50, 0x602153b68883d13d}},
+    {"eqntott",
+     {0x62b129e3708626af, 0x62b129e3708626af, 0x62b129e3708626af},
+     {0x1f1434c48800553c, 0x921664a547fd710a, 0x8dc446fb46bbff76}},
+    {"compress",
+     {0x4510939a100ed5cc, 0x4510939a100ed5cc, 0x4510939a100ed5cc},
+     {0x2b85fbb9fd9de0eb, 0x281095a26afbb972, 0xe1521b4ba2cecd63}},
+    {"sc",
+     {0x6fce395b7b40884b, 0x6fce395b7b40884b, 0x6fce395b7b40884b},
+     {0x56281297471dd73d, 0x5ee6c27c39e501d2, 0xc28bb30b07ee0e23}},
+    {"gcc",
+     {0xee2725ee701bfe4a, 0xee2725ee701bfe4a, 0xee2725ee701bfe4a},
+     {0x79ffbe5bfc1b646b, 0x07b66625d4e7eefa, 0x52f93341ec2d7347}},
+    {"hashagg",
+     {0x055020a33c95cf0e, 0x055020a33c95cf0e, 0x055020a33c95cf0e},
+     {0x9e62724cc77751f8, 0x62739edc6a29404d, 0x142f411c6a76546e}},
+    {"filter",
+     {0x73d2e1254666b22d, 0x73d2e1254666b22d, 0x73d2e1254666b22d},
+     {0xebb4bc7836f156e3, 0xfac287d37f2bbc07, 0x728b1988cbcab80d}},
+    {"chase",
+     {0x2757b5c4d77753ca, 0x2757b5c4d77753ca, 0x2757b5c4d77753ca},
+     {0xe1b17d8a27233025, 0x0bac79340fe3d639, 0x66c730c65ae3f99f}},
+    {"interp",
+     {0x0a256fb7e89deea3, 0x0a256fb7e89deea3, 0x0a256fb7e89deea3},
+     {0xb0e2a65e3ef7dee1, 0x2bfef196e8c8a378, 0xdab66155036d1068}},
+    {"interp_tc",
+     {0x25078106f42b10f4, 0x25078106f42b10f4, 0x25078106f42b10f4},
+     {0x320ae3246ea0f255, 0x591708b52b02b2a7, 0xf9a4e4ce995295d9}},
+};
+
+const PdfRow GoldenPdf[] = {
+    {"espresso", 0x18b7fdb948d53136, 0x984d764c35d107a6, 309167, 309167},
+    {"li", 0x1de024ffb2eecb12, 0xf92a4f1b4b6f8cab, 876629, 783776},
+    {"eqntott", 0xedeb6493b89d6ea2, 0xf876abe1f6e672ed, 107637, 93123},
+    {"compress", 0x9d6e8a87ba4d877d, 0xa6ff5c4d0b7aed88, 419832, 419448},
+    {"sc", 0x5fe20eb7f2ca040c, 0x82c2f70db8d6a361, 246347, 213576},
+    {"gcc", 0x9151894d4a5564ac, 0x258910139cbbea33, 588250, 589298},
+    {"hashagg", 0x51d126be89faaf5b, 0xa909f3c66c3b05eb, 285608, 284646},
+    {"filter", 0xfc4770840b1db3e0, 0xdfb3d73009d112d5, 277315, 269931},
+    {"chase", 0x27ee2ff114cb5a4d, 0x0b5327a8d9e59843, 217513, 217513},
+    {"interp", 0x1ee3317382a312a6, 0x0e8cdbe27ae893ce, 117828, 81438},
+    {"interp_tc", 0x1620567337b14be9, 0xf0bbfea126572c4a, 93358, 93150},
+};
+
+uint64_t digest(const Module &M) {
+  std::string Text = printModule(M);
+  return fnv1aBytes(Text.data(), Text.size());
+}
+
+std::string hex(uint64_t V) {
+  char Buf[24];
+  std::snprintf(Buf, sizeof(Buf), "0x%016" PRIx64, V);
+  return Buf;
+}
+
+std::string render(const MatrixRow &R) {
+  std::string S = std::string("    {\"") + R.Kernel + "\",\n     {";
+  for (size_t I = 0; I != 3; ++I)
+    S += (I ? ", " : "") + hex(R.Classical[I]);
+  S += "},\n     {";
+  for (size_t I = 0; I != 3; ++I)
+    S += (I ? ", " : "") + hex(R.Vliw[I]);
+  return S + "}},\n";
+}
+
+std::string render(const PdfRow &R) {
+  return std::string("    {\"") + R.Kernel + "\", " + hex(R.Instrumented) +
+         ", " + hex(R.Guided) + ", " + std::to_string(R.BaselineCycles) +
+         ", " + std::to_string(R.GuidedCycles) + "},\n";
+}
+
+template <typename Row, size_t N> std::string render(const Row (&Rows)[N]) {
+  std::string S;
+  for (const Row &R : Rows)
+    S += render(R);
+  return S;
+}
+
+} // namespace
+
+TEST(CompileGolden, KernelMatrixDigests) {
+  std::string Actual;
+  for (const Workload &W : workloads::allKernels()) {
+    auto M = buildWorkload(W);
+    ASSERT_TRUE(M) << W.Name;
+    MatrixRow Row{W.Name.c_str(), {}, {}};
+    for (size_t MI = 0; MI != 3; ++MI) {
+      PipelineOptions PO;
+      PO.Machine = *findMachine(Machines[MI]);
+      PO.Threads = 1;
+      Row.Classical[MI] =
+          digest(*optimizedClone(*M, OptLevel::Classical, PO));
+      Row.Vliw[MI] = digest(*optimizedClone(*M, OptLevel::Vliw, PO));
+    }
+    Actual += render(Row);
+  }
+  EXPECT_TRUE(Actual == render(GoldenMatrix))
+      << "compiled output moved; actual GoldenMatrix table:\n"
+      << Actual;
+}
+
+TEST(CompileGolden, PdfModuleDigestsAndCycles) {
+  std::string Actual;
+  for (const Workload &W : workloads::allKernels()) {
+    auto M = buildWorkload(W);
+    ASSERT_TRUE(M) << W.Name;
+    PdfRow Row{W.Name.c_str(), 0, 0, 0, 0};
+    {
+      std::unique_ptr<Module> Train = prepareForTraining(*M);
+      instrumentModule(*Train);
+      Row.Instrumented = digest(*Train);
+    }
+    PdfExperimentOptions PO;
+    PO.Machine = rs6000();
+    PO.ProfileSource = PdfExperimentOptions::Source::Counters;
+    PO.Train = {workloadInput(W.TrainScale)};
+    PO.Test = {workloadInput(W.RefScale)};
+    PdfExperimentResult R = runPdfExperiment(*M, PO);
+    ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Error;
+    Row.Guided = digest(*R.Guided);
+    Row.BaselineCycles = R.BaselineCycles;
+    Row.GuidedCycles = R.GuidedCycles;
+    Actual += render(Row);
+  }
+  EXPECT_TRUE(Actual == render(GoldenPdf))
+      << "compiled output moved; actual GoldenPdf table:\n"
+      << Actual;
+}

@@ -182,6 +182,44 @@ TEST(CompileServiceTest, ResponsesSurviveCacheClear) {
   EXPECT_EQ(First.Text, Second.Text);
 }
 
+// Two programs with one CFG shape (the same block and edge labels) but
+// different instructions. Keyed on the CFG fingerprint alone, the second
+// program's simulate was answered from the first one's optimized module;
+// the same held for the prepared training clone behind the pdf op. Each
+// response from a shared service must match a fresh service's.
+TEST(CompileServiceTest, SameCfgDifferentBodiesGetTheirOwnArtifacts) {
+  std::vector<ServiceRequest> Reqs;
+  for (const char *Update : {"x+3", "x*5"}) {
+    std::string Src = std::string("int main(int n){int x=1;for(int i=0;"
+                                  "i<n;i++){x=") +
+                      Update + ";}print_int(x);return 0;}";
+    ServiceRequest Sim;
+    Sim.Kind = ServiceRequest::Op::Simulate;
+    Sim.Source = Src;
+    Sim.Args = {4};
+    Sim.Name = std::string(Update) + ".sim";
+    Reqs.push_back(Sim);
+    ServiceRequest Pdf;
+    Pdf.Kind = ServiceRequest::Op::Pdf;
+    Pdf.Source = Src;
+    Pdf.Train = {3};
+    Pdf.Test = {4};
+    Pdf.Name = std::string(Update) + ".pdf";
+    Reqs.push_back(Pdf);
+  }
+
+  CompileService Shared;
+  std::vector<std::string> Texts;
+  for (const ServiceRequest &R : Reqs) {
+    ServiceResponse Fresh = CompileService().handle(R);
+    ASSERT_TRUE(Fresh.Ok) << R.Name << ": " << Fresh.Text;
+    EXPECT_EQ(Shared.handle(R).Text, Fresh.Text) << R.Name;
+    Texts.push_back(Fresh.Text);
+  }
+  // The two programs print different values, so their answers differ.
+  EXPECT_NE(Texts[0], Texts[2]);
+}
+
 TEST(CompileServiceTest, ByteIdenticalAcrossThreadsAndOrder) {
   // A mixed stream over three kernels: compiles at two levels, a
   // simulate, and a PDF experiment (train-scale batteries keep it quick).
