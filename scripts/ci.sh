@@ -14,7 +14,8 @@
 # fast-path differential + oracle suites in both dispatch flavours
 # (VSC_DISPATCH=threaded and =switch) and the alias-analysis/audit suites
 # explicitly; a third, switch-only build (-DVSC_COMPUTED_GOTO=OFF) proves
-# the threaded loop is never a correctness dependency.
+# the threaded loop is never a correctness dependency. The default
+# configuration also runs the benchmark's self-test.
 #
 #   scripts/ci.sh [JOBS]
 #
@@ -160,6 +161,13 @@ run_config() {
 }
 
 run_config default "$ROOT/build"
+# The benchmark (perfbench/) builds its own program against ../src, so a
+# src/ API change can break it without failing any step above. Its
+# self-test builds it into the git-ignored .bench_build and checks the
+# generated programs, the metric table against BENCHMARK.json and the
+# bit-for-bit repeatability of every exact metric (about 1.5 min).
+echo "=== [default] benchmark self-test ==="
+python3 "$ROOT/perfbench/selftest.py"
 run_config sanitize "$ROOT/build-sanitize" -DVSC_SANITIZE=ON
 
 # A switch-only build (no computed goto compiled in at all) must still pass

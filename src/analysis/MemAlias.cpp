@@ -2,6 +2,7 @@
 
 #include "analysis/MemAlias.h"
 
+#include "analysis/ValueTrack.h"
 #include "ir/Module.h"
 
 #include <atomic>
@@ -139,6 +140,32 @@ AliasResult vsc::alias(const Instr &A, const Instr &B, AliasScope Scope) {
   AliasResult R = aliasClassified(A, B, Scope, Kind);
   countAliasQuery(R);
   return R;
+}
+
+bool vsc::isMemoryInertCall(const Instr &I) {
+  return I.isCall() && (I.Sym == "print_int" || I.Sym == "print_char" ||
+                        I.Sym == "read_int");
+}
+
+bool vsc::memoryOrdered(const Instr &Earlier, const Instr &Later,
+                        AliasScope Scope, const AliasAnalysis *AA) {
+  auto IsOpaqueCall = [](const Instr &I) {
+    return I.isCall() && !isMemoryInertCall(I);
+  };
+  if (Earlier.isCall() && Later.isCall())
+    return true;
+  if ((IsOpaqueCall(Earlier) && Later.isMemAccess()) ||
+      (IsOpaqueCall(Later) && Earlier.isMemAccess()))
+    return true;
+  if (!Earlier.isMemAccess() || !Later.isMemAccess())
+    return false;
+  if (Earlier.IsVolatile && Later.IsVolatile)
+    return true; // volatile order is architectural
+  if (!Earlier.isStore() && !Later.isStore())
+    return false;
+  AliasResult R = AA ? AA->alias(Earlier, Later, Scope)
+                     : alias(Earlier, Later, Scope);
+  return R != AliasResult::NoAlias;
 }
 
 bool vsc::isSafeSpeculativeLoad(const Instr &Load, const Module *M) {

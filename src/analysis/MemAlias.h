@@ -11,7 +11,9 @@
 /// This header is the *syntactic tier*: it looks at one instruction at a
 /// time. The flow-sensitive tier (analysis/ValueTrack.h) tracks abstract
 /// base values through registers and falls back to this one; both answer
-/// through the same AliasResult / AliasScope vocabulary.
+/// through the same AliasResult / AliasScope vocabulary. The header also
+/// holds the memory and call ordering rule the dependence builders share,
+/// which asks either tier.
 ///
 /// Stack discipline: this project's front end never materialises a frame
 /// address that escapes the function (no "&local" passed or stored), so
@@ -102,6 +104,43 @@ AliasResult aliasClassified(const Instr &A, const Instr &B, AliasScope Scope,
 /// page-zero / known-valid-pointer reasoning), and accesses to a named
 /// global of \p M whose extent covers the displacement range.
 bool isSafeSpeculativeLoad(const Instr &Load, const Module *M);
+
+//===----------------------------------------------------------------------===//
+// Memory and call ordering
+//===----------------------------------------------------------------------===//
+
+class AliasAnalysis;
+
+/// \returns true for a call to an I/O builtin (print_int, print_char,
+/// read_int), which neither reads nor writes user memory.
+bool isMemoryInertCall(const Instr &I);
+
+/// The scope of an alias query between \p Earlier and \p Later, two
+/// instructions of one execution of a straight-line sequence:
+/// SameExecution, unless both access memory through one base register and
+/// \p RedefinedBetween(Base) reports an instruction strictly between them
+/// that redefines it.
+template <typename Fn>
+AliasScope straightLineScope(const Instr &Earlier, const Instr &Later,
+                             Fn &&RedefinedBetween) {
+  if (!Earlier.isMemAccess() || !Later.isMemAccess() ||
+      Earlier.memBase() != Later.memBase())
+    return AliasScope::SameExecution;
+  return RedefinedBetween(Earlier.memBase()) ? AliasScope::CrossExecution
+                                             : AliasScope::SameExecution;
+}
+
+/// The memory and call ordering rule of every dependence builder: the list
+/// scheduler and global hoisting (vliw/Schedule.cpp) and the min-II graph
+/// (pipelining/MinII.cpp). \returns true if \p Later must stay after
+/// \p Earlier because both are calls (I/O order, opaque side effects), one
+/// is a call that may touch memory and the other a memory access, both are
+/// volatile accesses, or one of two accesses is a store and they may alias
+/// under \p Scope — asked of \p AA when given, else of the syntactic tier.
+/// Only the last case issues an alias query. Register dependences are the
+/// caller's to test.
+bool memoryOrdered(const Instr &Earlier, const Instr &Later, AliasScope Scope,
+                   const AliasAnalysis *AA);
 
 //===----------------------------------------------------------------------===//
 // Query accounting

@@ -49,6 +49,28 @@ private:
     return false;
   }
 
+  /// One level of nesting, held for the scope of a statement, a unary
+  /// operand (which every parenthesis, call argument and index passes
+  /// through) or an assignment's right-hand side. Every recursive path of
+  /// the grammar takes one, so MaxDepth bounds the native stack the parser
+  /// and the code generator walking its tree can use: a deeper input is an
+  /// error, not a stack overflow.
+  class Nesting {
+  public:
+    explicit Nesting(MiniCParser &P) : P(P) { ++P.Depth; }
+    ~Nesting() { --P.Depth; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+    bool ok() {
+      return P.Depth <= MaxDepth ||
+             P.fail("nesting deeper than " + std::to_string(MaxDepth) +
+                    " levels");
+    }
+
+  private:
+    MiniCParser &P;
+  };
+
   std::unique_ptr<Expr> makeExpr(Expr::Kind K) {
     auto E = std::make_unique<Expr>();
     E->K = K;
@@ -162,6 +184,9 @@ private:
   }
 
   std::unique_ptr<Stmt> parseStmt() {
+    Nesting N(*this);
+    if (!N.ok())
+      return nullptr;
     if (at(TokKind::KwInt))
       return parseDecl();
     if (at(TokKind::LBrace)) {
@@ -334,6 +359,9 @@ private:
     if (at(TokKind::Assign) || at(TokKind::PlusAssign) ||
         at(TokKind::MinusAssign)) {
       TokKind Op = take().Kind;
+      Nesting N(*this);
+      if (!N.ok())
+        return nullptr;
       auto R = parseAssign();
       if (!R)
         return nullptr;
@@ -427,6 +455,9 @@ private:
   }
 
   std::unique_ptr<Expr> parseUnary() {
+    Nesting N(*this);
+    if (!N.ok())
+      return nullptr;
     if (at(TokKind::Minus) || at(TokKind::Tilde) || at(TokKind::Bang)) {
       TokKind Op = take().Kind;
       auto E = parseUnary();
@@ -545,9 +576,12 @@ private:
     return nullptr;
   }
 
+  static constexpr unsigned MaxDepth = 1000;
+
   std::vector<Token> Toks;
   Program &Out;
   size_t Pos = 0;
+  unsigned Depth = 0;
   std::string Error;
 };
 

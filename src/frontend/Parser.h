@@ -22,7 +22,9 @@
 namespace vsc {
 
 /// Parses mini-C source. On failure returns false and fills \p Err with a
-/// "line N: message" diagnostic.
+/// "line N: message" diagnostic. Input nested more than 1000 levels deep
+/// (statements, unary operands, assignment right-hand sides) is such a
+/// failure, so no input can overflow the parser's stack.
 bool parseMiniC(const std::string &Source, Program &Out, std::string &Err);
 
 } // namespace vsc

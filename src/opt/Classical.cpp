@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 using namespace vsc;
@@ -367,9 +368,20 @@ static bool licmOnLoop(Function &F, Loop &L, const Cfg &G,
         HasCall = true;
     }
 
-  RegUniverse U(F);
-  Cfg G2(F); // preheader creation may have changed the graph
-  Liveness Live(G2, U);
+  // Liveness serves only the last test, so it is built when the first
+  // candidate gets there. No hoist can come before that, so it sees the
+  // function as this call found it (after preheader creation).
+  std::optional<RegUniverse> U;
+  std::optional<Cfg> G2;
+  std::optional<Liveness> Live;
+  auto LiveIntoHeader = [&](Reg R) {
+    if (!Live) {
+      U.emplace(F);
+      G2.emplace(F);
+      Live.emplace(*G2, *U);
+    }
+    return Live->isLiveIn(L.Header, R);
+  };
 
   bool Changed = false;
   for (BasicBlock *BB : L.Blocks) {
@@ -391,32 +403,30 @@ static bool licmOnLoop(Function &F, Loop &L, const Cfg &G,
         ++II;
         continue;
       }
+      // The tests run cheapest first and stop at the first failure.
       // Operands invariant?
       Tmp.clear();
       I.collectUses(Tmp);
-      bool Invariant = true;
-      for (Reg S : Tmp) {
+      bool Invariant = std::none_of(Tmp.begin(), Tmp.end(), [&](Reg S) {
         auto It = DefCount.find(S);
-        if (It != DefCount.end() && It->second > 0)
-          Invariant = false;
-      }
-      // Single def of the destination, not live into the header (no
-      // loop-carried use of the previous value).
+        return It != DefCount.end() && It->second > 0;
+      });
+      // Single def of the destination.
       auto DefIt = DefCount.find(I.Dst);
-      if (DefIt == DefCount.end() || DefIt->second != 1 ||
-          Live.isLiveIn(L.Header, I.Dst))
-        Invariant = false;
-      if (IsLoad) {
-        if (HasCall)
-          Invariant = false;
-        // CrossExecution: the load and the store execute in different
-        // iterations (and after hoisting, the load runs before the loop).
-        for (const Instr &St : Clobbers)
-          if ((AA ? AA->alias(I, St, AliasScope::CrossExecution)
-                  : alias(I, St, AliasScope::CrossExecution)) !=
-              AliasResult::NoAlias)
-            Invariant = false;
-      }
+      Invariant = Invariant && DefIt != DefCount.end() && DefIt->second == 1;
+      // CrossExecution: the load and the store execute in different
+      // iterations (and after hoisting, the load runs before the loop).
+      auto MayAlias = [&](const Instr &St) {
+        AliasResult R = AA ? AA->alias(I, St, AliasScope::CrossExecution)
+                           : alias(I, St, AliasScope::CrossExecution);
+        return R != AliasResult::NoAlias;
+      };
+      if (Invariant && IsLoad)
+        Invariant = !HasCall &&
+                    std::none_of(Clobbers.begin(), Clobbers.end(), MayAlias);
+      // Not live into the header (no loop-carried use of the previous
+      // value).
+      Invariant = Invariant && !LiveIntoHeader(I.Dst);
       if (!Invariant) {
         ++II;
         continue;

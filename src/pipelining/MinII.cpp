@@ -13,30 +13,19 @@ using namespace vsc;
 
 namespace {
 
-/// Callees that neither read nor write user memory (I/O builtins); keep in
-/// sync with the dependence builder in vliw/Schedule.cpp.
-bool isMemoryInertCall(const Instr &I) {
-  return I.isCall() && (I.Sym == "print_int" || I.Sym == "print_char" ||
-                        I.Sym == "read_int");
-}
-
 /// Scope for an intra-iteration alias query between Body[I] and Body[J]
-/// (I < J): SameExecution unless an instruction between them redefines a
-/// base register the two accesses share (vliw/Schedule.cpp's memScopeFor).
+/// (I < J), by the same-base rule every straight-line builder shares.
 AliasScope intraScope(const std::vector<Instr> &Body, size_t I, size_t J) {
-  if (!Body[I].isMemAccess() || !Body[J].isMemAccess())
-    return AliasScope::SameExecution;
-  Reg B = Body[I].memBase();
-  if (B != Body[J].memBase())
-    return AliasScope::SameExecution;
   std::vector<Reg> Defs;
-  for (size_t K = I + 1; K < J; ++K) {
-    Defs.clear();
-    Body[K].collectDefs(Defs);
-    if (std::find(Defs.begin(), Defs.end(), B) != Defs.end())
-      return AliasScope::CrossExecution;
-  }
-  return AliasScope::SameExecution;
+  return straightLineScope(Body[I], Body[J], [&](Reg B) {
+    for (size_t K = I + 1; K < J; ++K) {
+      Defs.clear();
+      Body[K].collectDefs(Defs);
+      if (std::find(Defs.begin(), Defs.end(), B) != Defs.end())
+        return true;
+    }
+    return false;
+  });
 }
 
 bool intersects(const std::vector<Reg> &A, const std::vector<Reg> &B) {
@@ -68,28 +57,11 @@ void addDepEdge(std::vector<LoopDepEdge> &Edges,
     Edges.push_back({I, J, MM.latencyOf(E), Dist});
     return;
   }
-  bool Ordered = intersects(EUses, LDefs) || intersects(EDefs, LDefs);
-  if (!Ordered) {
-    auto IsOpaqueCall = [](const Instr &X) {
-      return X.isCall() && !isMemoryInertCall(X);
-    };
-    if (E.isCall() && L.isCall())
-      Ordered = true;
-    else if ((IsOpaqueCall(E) && L.isMemAccess()) ||
-             (IsOpaqueCall(L) && E.isMemAccess()))
-      Ordered = true;
-    else if (E.isMemAccess() && L.isMemAccess()) {
-      if (E.IsVolatile && L.IsVolatile)
-        Ordered = true;
-      else if (E.isStore() || L.isStore())
-        Ordered = (AA ? AA->alias(E, L, Scope) : alias(E, L, Scope)) !=
-                  AliasResult::NoAlias;
-    }
-  }
   // Anti/output/ordering edges carry latency 0: the engine issues in
   // program order with no cross-operation memory delay, so order (not
   // time) is the only constraint they impose.
-  if (Ordered)
+  if (intersects(EUses, LDefs) || intersects(EDefs, LDefs) ||
+      memoryOrdered(E, L, Scope, AA))
     Edges.push_back({I, J, 0, Dist});
 }
 

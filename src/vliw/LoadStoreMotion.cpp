@@ -17,8 +17,8 @@ using namespace vsc;
 namespace {
 
 /// Builtin callees known not to touch user memory (the paper's I/O library
-/// procedures with known properties).
-bool isMemoryInertCall(const Instr &I) {
+/// procedures with known properties), exit included.
+bool isInertBuiltinCall(const Instr &I) {
   return I.isCall() && (I.Sym == "print_int" || I.Sym == "print_char" ||
                         I.Sym == "read_int" || I.Sym == "exit");
 }
@@ -47,7 +47,7 @@ bool processLoop(Function &F, const Module &M, const Cfg &G, Loop &L,
   for (BasicBlock *BB : L.Blocks) {
     for (size_t I = 0; I != BB->size(); ++I) {
       const Instr &Ins = BB->instrs()[I];
-      if (Ins.isCall() && !isMemoryInertCall(Ins))
+      if (Ins.isCall() && !isInertBuiltinCall(Ins))
         HasOpaqueCall = true;
       if (Ins.isMemAccess())
         MemOps.push_back(AccessRef{BB, I});

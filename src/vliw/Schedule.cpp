@@ -19,12 +19,6 @@ using namespace vsc;
 
 namespace {
 
-/// Callees that neither read nor write user memory (I/O builtins).
-bool isMemoryInertCall(const Instr &I) {
-  return I.isCall() && (I.Sym == "print_int" || I.Sym == "print_char" ||
-                        I.Sym == "read_int");
-}
-
 //===----------------------------------------------------------------------===//
 // Issue-cost engine (mirrors sim/Simulator.cpp's issue rules)
 //===----------------------------------------------------------------------===//
@@ -155,169 +149,246 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// The register defs and uses of each instruction in a straight-line
-/// prefix Ins[0..N), collected once so the pairwise dependence tests below
-/// allocate nothing.
+/// prefix Ins[0..N), collected once, each register also numbered by a
+/// dense slot (its rank among the prefix's distinct registers). Buffers
+/// are kept across reset() calls, so a reused table allocates nothing once
+/// it has seen its largest block.
 class DefUseTable {
 public:
-  DefUseTable(const std::vector<Instr> &Ins, size_t N) : Ins(Ins) {
-    Begin.reserve(2 * N + 1);
+  void reset(const std::vector<Instr> &Instrs, size_t N) {
+    Ins = &Instrs;
+    Regs.clear();
+    Begin.clear();
     Begin.push_back(0);
     for (size_t I = 0; I != N; ++I) {
-      Ins[I].collectDefs(Regs);
+      Instrs[I].collectDefs(Regs);
       Begin.push_back(static_cast<uint32_t>(Regs.size()));
-      Ins[I].collectUses(Regs);
+      Instrs[I].collectUses(Regs);
       Begin.push_back(static_cast<uint32_t>(Regs.size()));
     }
+    Keys.resize(Regs.size());
+    for (size_t K = 0; K != Regs.size(); ++K)
+      Keys[K] = key(Regs[K]);
+    std::sort(Keys.begin(), Keys.end());
+    Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
+    Slots.resize(Regs.size());
+    for (size_t K = 0; K != Regs.size(); ++K)
+      Slots[K] = slotOf(Regs[K]);
   }
 
-  const Instr &instr(size_t I) const { return Ins[I]; }
-  std::span<const Reg> defs(size_t I) const { return range(2 * I); }
-  std::span<const Reg> uses(size_t I) const { return range(2 * I + 1); }
+  const Instr &instr(size_t I) const { return (*Ins)[I]; }
+  std::span<const uint32_t> defSlots(size_t I) const { return slots(2 * I); }
+  std::span<const uint32_t> useSlots(size_t I) const {
+    return slots(2 * I + 1);
+  }
+  size_t numSlots() const { return Keys.size(); }
+  /// Slot of a register the prefix defines or uses.
+  uint32_t slotOf(Reg R) const {
+    auto It = std::lower_bound(Keys.begin(), Keys.end(), key(R));
+    assert(It != Keys.end() && *It == key(R) && "register not in prefix");
+    return static_cast<uint32_t>(It - Keys.begin());
+  }
 
 private:
-  std::span<const Reg> range(size_t K) const {
-    return {Regs.data() + Begin[K], Regs.data() + Begin[K + 1]};
+  static uint64_t key(Reg R) {
+    return static_cast<uint64_t>(R.regClass()) << 32 | R.id();
+  }
+  std::span<const uint32_t> slots(size_t K) const {
+    return {Slots.data() + Begin[K], Slots.data() + Begin[K + 1]};
   }
 
-  const std::vector<Instr> &Ins;
-  std::vector<Reg> Regs;
+  const std::vector<Instr> *Ins = nullptr;
+  std::vector<Reg> Regs;       ///< defs and uses, as collected
+  std::vector<uint32_t> Slots; ///< the slot of each Regs entry
   std::vector<uint32_t> Begin; ///< defs of I: [2I, 2I+1), uses: [2I+1, 2I+2)
+  std::vector<uint64_t> Keys;  ///< sorted distinct register keys
 };
 
-bool contains(std::span<const Reg> Rs, Reg R) {
-  return std::find(Rs.begin(), Rs.end(), R) != Rs.end();
+/// Instructions the memory and call ordering rule can relate.
+bool touchesMemory(const Instr &I) { return I.isMemAccess() || I.isCall(); }
+
+/// Scope of an alias query between prefix instructions \p Earlier <
+/// \p Later when \p LastDef holds, per slot, the last position before
+/// Later that defines it (-1 for none).
+AliasScope scopeBefore(const DefUseTable &T, size_t Earlier, size_t Later,
+                       const std::vector<int32_t> &LastDef) {
+  return straightLineScope(T.instr(Earlier), T.instr(Later), [&](Reg B) {
+    return LastDef[T.slotOf(B)] > static_cast<int32_t>(Earlier);
+  });
 }
 
-/// \returns the scope an alias query between instructions \p I < \p J of
-/// one straight-line sequence may be issued under. Both accesses sit in
-/// one execution of the block; SameExecution additionally promises that no
-/// instruction between them redefines a base register they share, which is
-/// what the same-base displacement reasoning of the syntactic tier needs.
-AliasScope memScopeFor(const DefUseTable &T, size_t I, size_t J) {
-  Reg B = T.instr(I).memBase();
-  if (B != T.instr(J).memBase())
-    return AliasScope::SameExecution; // no shared base to redefine
-  for (size_t K = I + 1; K < J; ++K)
-    if (contains(T.defs(K), B))
-      return AliasScope::CrossExecution;
-  return AliasScope::SameExecution;
-}
-
-/// \returns true if instruction \p Later of \p T must not move above
-/// instruction \p Earlier (Earlier < Later).
+/// The pairwise test: \returns true if instruction \p Later of \p T must
+/// not move above instruction \p Earlier (Earlier < Later), with
+/// \p LastDef as for scopeBefore. Register dependences are checked first,
+/// so a pair they order issues no alias query.
 bool dependsOn(const DefUseTable &T, size_t Later, size_t Earlier,
-               const AliasAnalysis *AA) {
-  auto Intersects = [](std::span<const Reg> A, std::span<const Reg> B) {
-    for (Reg R : A)
-      if (contains(B, R))
+               const std::vector<int32_t> &LastDef, const AliasAnalysis *AA) {
+  auto Intersects = [](std::span<const uint32_t> A,
+                       std::span<const uint32_t> B) {
+    for (uint32_t X : A)
+      if (std::find(B.begin(), B.end(), X) != B.end())
         return true;
     return false;
   };
-  if (Intersects(T.defs(Earlier), T.uses(Later))) // flow
+  if (Intersects(T.defSlots(Earlier), T.useSlots(Later)) || // flow
+      Intersects(T.useSlots(Earlier), T.defSlots(Later)) || // anti
+      Intersects(T.defSlots(Earlier), T.defSlots(Later)))   // output
     return true;
-  if (Intersects(T.uses(Earlier), T.defs(Later))) // anti
-    return true;
-  if (Intersects(T.defs(Earlier), T.defs(Later))) // output
-    return true;
-
-  // Memory and call ordering.
-  const Instr &E = T.instr(Earlier), &L = T.instr(Later);
-  auto IsOpaqueCall = [](const Instr &I) {
-    return I.isCall() && !isMemoryInertCall(I);
-  };
-  if (E.isCall() && L.isCall())
-    return true; // output order of I/O, and opaque side effects
-  if ((IsOpaqueCall(E) && L.isMemAccess()) ||
-      (IsOpaqueCall(L) && E.isMemAccess()))
-    return true;
-  if (E.isMemAccess() && L.isMemAccess()) {
-    if (E.IsVolatile && L.IsVolatile)
-      return true; // volatile order is architectural
-    if (E.isStore() || L.isStore()) {
-      AliasScope Scope = memScopeFor(T, Earlier, Later);
-      AliasResult R = AA ? AA->alias(E, L, Scope) : alias(E, L, Scope);
-      if (R != AliasResult::NoAlias)
-        return true;
-    }
-  }
-  return false;
+  return memoryOrdered(T.instr(Earlier), T.instr(Later),
+                       scopeBefore(T, Earlier, Later, LastDef), AA);
 }
 
 //===----------------------------------------------------------------------===//
 // Local list scheduling
 //===----------------------------------------------------------------------===//
 
+/// A block prefix's dependence DAG. Its edges are a subset of the pairwise
+/// relation "Later must not move above Earlier" whose transitive closure
+/// is that whole relation (DESIGN.md §12), so it yields the same ready sets
+/// and heights. Successors are stored compressed, with each node's count
+/// of predecessors the list scheduler has yet to place.
 struct Dag {
-  std::vector<std::vector<unsigned>> Preds; // indices of required earlier ops
+  /// Successors of I: Succs[SuccBegin[I] .. SuccBegin[I + 1]).
+  std::vector<uint32_t> SuccBegin;
+  std::vector<uint32_t> Succs;
+  std::vector<uint32_t> Pending; ///< per node: predecessors not yet placed
   std::vector<unsigned> Height;
 };
 
-Dag buildDag(const std::vector<Instr> &Ins, size_t N, const MachineModel &MM,
-             const AliasAnalysis *AA) {
+/// The buffers one list schedule needs, reused from block to block.
+struct Scratch {
+  DefUseTable T;
   Dag D;
-  D.Preds.assign(N, {});
-  D.Height.assign(N, 0);
-  DefUseTable T(Ins, N);
-  for (size_t J = 0; J != N; ++J)
-    for (size_t I = 0; I != J; ++I)
-      if (dependsOn(T, J, I, AA))
-        D.Preds[J].push_back(static_cast<unsigned>(I));
+  std::vector<std::pair<uint32_t, uint32_t>> Edges; ///< (from, to)
+  /// Per slot: the last def so far, and the head of the list (through
+  /// UseCells) of the uses since it.
+  std::vector<int32_t> LastDef, FirstUse;
+  std::vector<std::pair<uint32_t, int32_t>> UseCells; ///< (user, next)
+  std::vector<uint32_t> MemOps; ///< memory and call instructions so far
+  /// Per node: the target of its latest edge. Every edge into J is added
+  /// while the walk is at J, so this drops duplicate edges.
+  std::vector<uint32_t> EdgeMark;
+  std::vector<uint32_t> Fill; ///< per node: its next free successor cell
+  std::vector<uint32_t> Ready;
+  std::vector<unsigned> Order;
+};
+
+/// Builds \p S.D for Ins[0..N) in one forward walk. For each register an
+/// edge runs from its last def to each use, from each use since that def
+/// to the next def, and from one def to the next. Each memory or call
+/// instruction also gets the pairwise test against every earlier one, in
+/// the order the all-pairs builder used, so the same alias queries are
+/// issued in the same order.
+void buildDag(Scratch &S, const std::vector<Instr> &Ins, size_t N,
+              const MachineModel &MM, const AliasAnalysis *AA) {
+  DefUseTable &T = S.T;
+  T.reset(Ins, N);
+  S.LastDef.assign(T.numSlots(), -1);
+  S.FirstUse.assign(T.numSlots(), -1);
+  S.UseCells.clear();
+  S.MemOps.clear();
+  S.Edges.clear();
+  S.EdgeMark.assign(N, ~0u);
+  auto AddEdge = [&](uint32_t From, uint32_t To) {
+    if (From == To || S.EdgeMark[From] == To)
+      return;
+    S.EdgeMark[From] = To;
+    S.Edges.push_back({From, To});
+  };
+  for (uint32_t J = 0; J != N; ++J) {
+    if (touchesMemory(Ins[J])) {
+      for (uint32_t I : S.MemOps)
+        if (dependsOn(T, J, I, S.LastDef, AA))
+          AddEdge(I, J);
+      S.MemOps.push_back(J);
+    }
+    for (uint32_t U : T.useSlots(J)) {
+      if (S.LastDef[U] >= 0)
+        AddEdge(static_cast<uint32_t>(S.LastDef[U]), J);
+      S.UseCells.push_back({J, S.FirstUse[U]});
+      S.FirstUse[U] = static_cast<int32_t>(S.UseCells.size() - 1);
+    }
+    for (uint32_t D : T.defSlots(J)) {
+      for (int32_t C = S.FirstUse[D]; C >= 0; C = S.UseCells[C].second)
+        AddEdge(S.UseCells[C].first, J);
+      if (S.LastDef[D] >= 0)
+        AddEdge(static_cast<uint32_t>(S.LastDef[D]), J);
+      S.LastDef[D] = static_cast<int32_t>(J);
+      S.FirstUse[D] = -1;
+    }
+  }
+
+  Dag &D = S.D;
+  D.SuccBegin.assign(N + 1, 0);
+  D.Pending.assign(N, 0);
+  for (auto [From, To] : S.Edges) {
+    ++D.SuccBegin[From + 1];
+    ++D.Pending[To];
+  }
+  for (size_t I = 0; I != N; ++I)
+    D.SuccBegin[I + 1] += D.SuccBegin[I];
+  D.Succs.resize(S.Edges.size());
+  S.Fill.assign(D.SuccBegin.begin(), D.SuccBegin.end() - 1);
+  for (auto [From, To] : S.Edges)
+    D.Succs[S.Fill[From]++] = To;
+
   // Heights: latency-weighted longest path to the end of the block, plus a
   // bonus for compares feeding any terminator of the block (they want to
   // run early so the dependent branch resolves in time).
+  D.Height.assign(N, 0);
   for (size_t J = N; J-- > 0;) {
-    unsigned H = MM.latencyOf(Ins[J]);
+    unsigned Lat = MM.latencyOf(Ins[J]), H = Lat;
     if (Ins[J].Op == Opcode::C || Ins[J].Op == Opcode::CI)
-      for (size_t T = N; T != Ins.size(); ++T)
-        if (Ins[T].isCondBranch() && Ins[T].Src1 == Ins[J].Dst)
+      for (size_t K = N; K != Ins.size(); ++K)
+        if (Ins[K].isCondBranch() && Ins[K].Src1 == Ins[J].Dst)
           H += MM.TakenBranchRedirect;
+    for (uint32_t E = D.SuccBegin[J]; E != D.SuccBegin[J + 1]; ++E)
+      H = std::max(H, D.Height[D.Succs[E]] + Lat);
     D.Height[J] = H;
   }
-  for (size_t J = N; J-- > 0;)
-    for (unsigned P : D.Preds[J])
-      D.Height[P] =
-          std::max(D.Height[P], D.Height[J] + MM.latencyOf(Ins[P]));
-  return D;
 }
 
-/// Greedy cycle-directed list schedule of Ins[0..N); \returns new order of
-/// indices.
-std::vector<unsigned> listSchedule(const std::vector<Instr> &Ins, size_t N,
-                                   const MachineModel &MM,
-                                   const AliasAnalysis *AA) {
-  Dag D = buildDag(Ins, N, MM, AA);
-  std::vector<unsigned> Order;
-  std::vector<bool> Scheduled(N, false);
+/// Greedy cycle-directed list schedule of Ins[0..N); \returns the new
+/// order of indices (a view of \p S.Order).
+const std::vector<unsigned> &listSchedule(Scratch &S,
+                                          const std::vector<Instr> &Ins,
+                                          size_t N, const MachineModel &MM,
+                                          const AliasAnalysis *AA) {
+  buildDag(S, Ins, N, MM, AA);
+  Dag &D = S.D;
+  S.Ready.clear();
+  for (uint32_t J = 0; J != N; ++J)
+    if (D.Pending[J] == 0)
+      S.Ready.push_back(J);
+  S.Order.clear();
   IssueEngine Engine(MM);
   for (size_t Step = 0; Step != N; ++Step) {
-    int Best = -1;
+    // (cycle, -height, index) totally orders the ready nodes, so the pick
+    // does not depend on the ready list's order.
+    assert(!S.Ready.empty() && "dependence cycle in a basic block?");
+    size_t BestAt = 0;
+    uint32_t Best = 0;
     uint64_t BestCycle = ~0ULL;
-    for (size_t J = 0; J != N; ++J) {
-      if (Scheduled[J])
-        continue;
-      bool Ready = true;
-      for (unsigned P : D.Preds[J])
-        if (!Scheduled[P])
-          Ready = false;
-      if (!Ready)
-        continue;
+    for (size_t K = 0; K != S.Ready.size(); ++K) {
+      uint32_t J = S.Ready[K];
       uint64_t C = Engine.tryIssue(Ins[J]);
-      if (Best < 0 || C < BestCycle ||
-          (C == BestCycle &&
-           D.Height[J] > D.Height[static_cast<size_t>(Best)]) ||
-          (C == BestCycle &&
-           D.Height[J] == D.Height[static_cast<size_t>(Best)] &&
-           J < static_cast<size_t>(Best))) {
-        Best = static_cast<int>(J);
+      if (K == 0 || C < BestCycle ||
+          (C == BestCycle && D.Height[J] > D.Height[Best]) ||
+          (C == BestCycle && D.Height[J] == D.Height[Best] && J < Best)) {
+        BestAt = K;
+        Best = J;
         BestCycle = C;
       }
     }
-    assert(Best >= 0 && "dependence cycle in a basic block?");
-    Scheduled[static_cast<size_t>(Best)] = true;
-    Engine.issue(Ins[static_cast<size_t>(Best)], /*Taken=*/false);
-    Order.push_back(static_cast<unsigned>(Best));
+    S.Ready[BestAt] = S.Ready.back();
+    S.Ready.pop_back();
+    Engine.issue(Ins[Best], /*Taken=*/false);
+    S.Order.push_back(Best);
+    for (uint32_t E = D.SuccBegin[Best]; E != D.SuccBegin[Best + 1]; ++E)
+      if (--D.Pending[D.Succs[E]] == 0)
+        S.Ready.push_back(D.Succs[E]);
   }
-  return Order;
+  return S.Order;
 }
 
 } // namespace
@@ -327,7 +398,9 @@ bool vsc::scheduleBlock(BasicBlock &BB, const MachineModel &MM,
   size_t N = BB.firstTerminatorIdx();
   if (N < 2)
     return false;
-  std::vector<unsigned> Order = listSchedule(BB.instrs(), N, MM, AA);
+  // One per thread: the parallel driver schedules functions concurrently.
+  static thread_local Scratch S;
+  const std::vector<unsigned> &Order = listSchedule(S, BB.instrs(), N, MM, AA);
   bool Identity = true;
   for (size_t I = 0; I != N; ++I)
     if (Order[I] != I)
@@ -430,14 +503,9 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
   const std::vector<CfgEdge> &Succs = G.succs(P);
   if (Succs.empty())
     return false;
-  bool PEndsConditional = false;
-  {
-    const Instr *Term = P->terminator();
-    size_t FirstTerm = P->firstTerminatorIdx();
-    if (FirstTerm < P->size() && P->instrs()[FirstTerm].isCondBranch())
-      PEndsConditional = true;
-    (void)Term;
-  }
+  size_t PTerm = P->firstTerminatorIdx();
+  bool PEndsConditional =
+      PTerm < P->size() && P->instrs()[PTerm].isCondBranch();
   if (PEndsConditional && !Opts.SpeculativeHoist)
     return false;
 
@@ -457,6 +525,13 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
   }
 
   std::vector<Reg> Defs, Uses, Tmp;
+  DefUseTable SDefUse;
+  std::vector<bool> DefBefore, UseBefore;
+  std::vector<int32_t> LastDef;
+  std::vector<uint32_t> MemBefore;
+  BasicBlock Probe("probe"), Trial("probe");
+  unsigned CostBefore = 0;
+  bool Probed = false;
   for (const CfgEdge &E : OrderedSuccs) {
     BasicBlock *S = E.To;
     // Only clearly-unlikely paths are treated as speculative-and-unwanted
@@ -542,15 +617,37 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       return true;
     };
 
+    // Movable to the top of S: no register shared with an earlier
+    // instruction (running def/use sets), and no memory or call ordering
+    // with an earlier memory or call instruction.
     size_t STerm = S->firstTerminatorIdx();
-    DefUseTable SDefUse(S->instrs(), STerm);
+    SDefUse.reset(S->instrs(), STerm);
+    DefBefore.assign(SDefUse.numSlots(), false);
+    UseBefore.assign(SDefUse.numSlots(), false);
+    LastDef.assign(SDefUse.numSlots(), -1);
+    MemBefore.clear();
     for (size_t J = 0; J != STerm; ++J) {
       const Instr &Cand = S->instrs()[J];
-      // Must be movable to the top of S.
       bool Blocked = false;
-      for (size_t K = 0; K != J && !Blocked; ++K)
-        if (dependsOn(SDefUse, J, K, AA))
-          Blocked = true;
+      for (uint32_t U : SDefUse.useSlots(J))
+        Blocked |= DefBefore[U];
+      for (uint32_t D : SDefUse.defSlots(J))
+        Blocked |= DefBefore[D] || UseBefore[D];
+      if (!Blocked && touchesMemory(Cand))
+        for (uint32_t K : MemBefore)
+          if (memoryOrdered(S->instrs()[K], Cand,
+                            scopeBefore(SDefUse, K, J, LastDef), AA)) {
+            Blocked = true;
+            break;
+          }
+      for (uint32_t U : SDefUse.useSlots(J))
+        UseBefore[U] = true;
+      for (uint32_t D : SDefUse.defSlots(J)) {
+        DefBefore[D] = true;
+        LastDef[D] = static_cast<int32_t>(J);
+      }
+      if (touchesMemory(Cand))
+        MemBefore.push_back(static_cast<uint32_t>(J));
       if (Blocked)
         continue;
       bool AllLegal = true;
@@ -562,17 +659,19 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
 
       // Profitability: the candidate must fit in an idle slot of the
       // triggering predecessor P — the probe re-schedules the block so the
-      // candidate may land in a stall hole rather than at the end.
-      BasicBlock Probe("probe");
-      Probe.instrs() = P->instrs();
-      scheduleBlock(Probe, MM, AA);
-      unsigned CostBefore = estimateBlockCycles(Probe, MM);
-      Probe.instrs().insert(Probe.instrs().begin() +
-                                static_cast<long>(Probe.firstTerminatorIdx()),
+      // candidate may land in a stall hole rather than at the end. P's own
+      // schedule and cost do not depend on the candidate.
+      if (!Probed) {
+        Probe.instrs() = P->instrs();
+        scheduleBlock(Probe, MM, AA);
+        CostBefore = estimateBlockCycles(Probe, MM);
+        Probed = true;
+      }
+      Trial.instrs() = Probe.instrs();
+      Trial.instrs().insert(Trial.instrs().begin() + static_cast<long>(PTerm),
                             Cand);
-      scheduleBlock(Probe, MM, AA);
-      unsigned CostAfter = estimateBlockCycles(Probe, MM);
-      if (CostAfter > CostBefore)
+      scheduleBlock(Trial, MM, AA);
+      if (estimateBlockCycles(Trial, MM) > CostBefore)
         continue;
 
       // Move: the op goes into every predecessor (one real motion plus

@@ -11,7 +11,12 @@
 ///  * the rs6000 counter-scheme PDF experiment's guided module, plus its
 ///    baseline and guided cycle sums. Its Threads defers to VSC_THREADS,
 ///    so running the suite at two thread counts checks the serial and the
-///    parallel paths.
+///    parallel paths;
+///  * generated loops with large bodies (a 160-statement straight block, a
+///    40-statement branchy region) x {Classical, Vliw} x the three
+///    machines: the block sizes at which the scheduler's dependence DAG
+///    and hoisting do most of their work, far past the kernels' 130-420
+///    instructions per function.
 ///
 /// A change that moves any of these bytes has to update the tables on
 /// purpose. On a mismatch each test prints its whole actual table in the
@@ -20,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "frontend/Frontend.h"
 #include "pdf/PdfExperiment.h"
 #include "profile/Counters.h"
 #include "service/Artifact.h"
@@ -100,6 +106,106 @@ const PdfRow GoldenPdf[] = {
     {"interp", 0x1ee3317382a312a6, 0x0e8cdbe27ae893ce, 117828, 81438},
     {"interp_tc", 0x1620567337b14be9, 0xf0bbfea126572c4a, 93358, 93150},
 };
+
+const MatrixRow GoldenLargeBlocks[] = {
+    {"straight.160",
+     {0x8c0f2c957a305cbd, 0x8c0f2c957a305cbd, 0x8c0f2c957a305cbd},
+     {0x8c18d0aa29e66867, 0xbec2981a497c1602, 0x766091d02c545c9d}},
+    {"branchy.40",
+     {0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad},
+     {0x8f5a7bf0736791e2, 0x12a95ddf39acf700, 0xa67eacff3210c254}},
+};
+
+/// splitmix64, so a seed gives the same program on every platform.
+class Rng {
+public:
+  explicit Rng(uint64_t Seed) : State(Seed) {}
+  unsigned below(unsigned N) {
+    uint64_t Z = (State += 0x9e3779b97f4a7c15ULL);
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<unsigned>((Z ^ (Z >> 31)) % N);
+  }
+
+private:
+  uint64_t State;
+};
+
+/// One counted loop over global arrays whose body is \p Statements masked
+/// load/compute/store statements (about one in four wrapped in an if/else
+/// when \p Branchy). Every value is masked and every index is in range, so
+/// the program is well defined whatever the seed.
+std::string largeLoopProgram(unsigned Statements, bool Branchy,
+                             uint64_t Seed) {
+  Rng R(Seed);
+  auto Num = [&](unsigned N) { return std::to_string(R.below(N)); };
+  auto Element = [&] {
+    static const char *const Arrays[] = {"ga", "gb", "gc"};
+    static const char *const Strides[] = {"t", "t * 3", "t * 5", "t + t"};
+    std::string A = Arrays[R.below(3)];
+    std::string S = Strides[R.below(4)];
+    return A + "[(" + S + " + " + Num(32) + ") & 31]";
+  };
+  auto Op = [&] {
+    static const char *const Ops[] = {"+", "-", "^", "|", "&"};
+    return std::string(Ops[R.below(5)]);
+  };
+  auto Scalar = [&] { return "x" + Num(4); };
+  auto Statement = [&]() -> std::string {
+    switch (R.below(4)) {
+    case 0: {
+      std::string Dst = Element(), A = Element(), O = Op();
+      return Dst + " = (" + A + " " + O + " " + Element() + ") & 0xffff;";
+    }
+    case 1: {
+      std::string X = Scalar(), O = Op();
+      return X + " = (" + X + " " + O + " " + Element() + ") & 0xffff;";
+    }
+    case 2: {
+      std::string Dst = Num(8), Src = Num(8), O = Op();
+      return "gs[" + Dst + "] = (gs[" + Src + "] " + O + " " + Scalar() +
+             ") & 0xffff;";
+    }
+    default: {
+      std::string X = Scalar(), K = std::to_string(1 + R.below(7));
+      return X + " = (" + X + " * " + K + " + " + Num(1000) + ") & 0xffff;";
+    }
+    }
+  };
+  std::string Body;
+  for (unsigned I = 0; I != Statements; ++I) {
+    if (Branchy && R.below(4) == 0) {
+      // One draw per statement: operands of + are unsequenced.
+      std::string E = Element(), Mask = std::to_string(1 + R.below(255));
+      std::string Cond = "(" + E + " & " + Mask + ") > " + Num(128);
+      std::string Then = Statement();
+      Body += "    if (" + Cond + ") {\n      " + Then + "\n    } else {\n      " +
+              Statement() + "\n    }\n";
+      continue;
+    }
+    Body += "    " + Statement() + "\n";
+  }
+  return "int ga[32];\nint gb[32];\nint gc[32];\nint gs[8];\n"
+         "int main(int n) {\n"
+         "  int x0 = 1;\n  int x1 = 3;\n  int x2 = 5;\n  int x3 = 7;\n"
+         "  for (int i = 0; i < 32; i++) {\n"
+         "    ga[i] = (i * 7 + 3) & 255;\n"
+         "    gb[i] = (i * 13 + 5) & 255;\n"
+         "    gc[i] = (i * 29 + 11) & 255;\n"
+         "    gs[i & 7] = i;\n"
+         "  }\n"
+         "  for (int t = 0; t < n; t++) {\n" +
+         Body +
+         "  }\n"
+         "  int h = 0;\n"
+         "  for (int i = 0; i < 32; i++)\n"
+         "    h = (h * 31 + ga[i] + gb[i] * 3 + gc[i] * 5 + gs[i & 7]) & "
+         "0xffffff;\n"
+         "  print_int(h);\n"
+         "  print_int((x0 + x1 * 3 + x2 * 5 + x3 * 7) & 0xffffff);\n"
+         "  return 0;\n"
+         "}\n";
+}
 
 uint64_t digest(const Module &M) {
   std::string Text = printModule(M);
@@ -183,5 +289,37 @@ TEST(CompileGolden, PdfModuleDigestsAndCycles) {
   }
   EXPECT_TRUE(Actual == render(GoldenPdf))
       << "compiled output moved; actual GoldenPdf table:\n"
+      << Actual;
+}
+
+TEST(CompileGolden, LargeBlockDigests) {
+  struct Program {
+    const char *Name;
+    unsigned Statements;
+    bool Branchy;
+    uint64_t Seed;
+  };
+  const Program Programs[] = {{"straight.160", 160, false, 7},
+                              {"branchy.40", 40, true, 11}};
+  std::string Actual;
+  for (const Program &P : Programs) {
+    FrontendOptions FO;
+    FO.AssumeSafeLoads = true;
+    CompileResult C =
+        compileMiniC(largeLoopProgram(P.Statements, P.Branchy, P.Seed), FO);
+    ASSERT_TRUE(C.ok()) << P.Name << ": " << C.Error;
+    MatrixRow Row{P.Name, {}, {}};
+    for (size_t MI = 0; MI != 3; ++MI) {
+      PipelineOptions PO;
+      PO.Machine = *findMachine(Machines[MI]);
+      PO.Threads = 1;
+      Row.Classical[MI] =
+          digest(*optimizedClone(*C.M, OptLevel::Classical, PO));
+      Row.Vliw[MI] = digest(*optimizedClone(*C.M, OptLevel::Vliw, PO));
+    }
+    Actual += render(Row);
+  }
+  EXPECT_TRUE(Actual == render(GoldenLargeBlocks))
+      << "compiled output moved; actual GoldenLargeBlocks table:\n"
       << Actual;
 }

@@ -29,6 +29,31 @@ std::string runC(const std::string &Src, std::vector<int64_t> Args = {},
 
 } // namespace
 
+TEST(MiniC, NestingPastTheDepthLimitIsAnError) {
+  // Each of these overflows the stack of a recursive-descent parser that
+  // has no depth limit.
+  const size_t Deep = 200000;
+  std::string Negations;
+  for (size_t I = 0; I != Deep; ++I)
+    Negations += "- "; // spaced: "--" lexes as a decrement
+  for (const std::string &Src :
+       {"int main(int n) { return " + std::string(Deep, '(') + "1" +
+            std::string(Deep, ')') + "; }",
+        "int main(int n) { " + std::string(Deep, '{') +
+            std::string(Deep, '}') + " return 0; }",
+        "int main(int n) { return " + Negations + "1; }"}) {
+    CompileResult R = compileMiniC(Src);
+    EXPECT_FALSE(R.ok());
+    EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+        << R.Error;
+  }
+  // Ordinary depths are untouched.
+  EXPECT_EQ(runC("int main(int n) { print_int(" + std::string(200, '(') +
+                     "n + 1" + std::string(200, ')') + "); return 0; }",
+                 {41}),
+            "42\n");
+}
+
 TEST(MiniC, ArithmeticAndPrecedence) {
   EXPECT_EQ(runC("int main() { print_int(2 + 3 * 4); return 0; }"), "14\n");
   EXPECT_EQ(runC("int main() { print_int((2 + 3) * 4); return 0; }"),

@@ -358,6 +358,26 @@ TEST(CompileServiceTest, ErrorPaths) {
   EXPECT_NE(Resp.Text.find("neither kernel"), std::string::npos);
 }
 
+// A source nested past the front end's depth limit is one error response;
+// it must not take the service down with the rest of its batch.
+TEST(CompileServiceTest, DeeplyNestedSourceIsAnErrorResponse) {
+  ServiceRequest Deep;
+  Deep.Kind = ServiceRequest::Op::Compile;
+  Deep.Source = "int main(int n) { return " + std::string(200000, '(') +
+                "1" + std::string(200000, ')') + "; }";
+  Deep.Name = "deep";
+  ServiceRequest Li = compileReq("li", OptLevel::Vliw, "li");
+
+  CompileService Service;
+  std::vector<ServiceResponse> Out = Service.handleBatch({Deep, Li});
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_FALSE(Out[0].Ok);
+  EXPECT_NE(Out[0].Text.find("nesting deeper than"), std::string::npos)
+      << Out[0].Text;
+  EXPECT_TRUE(Out[1].Ok) << Out[1].Text;
+  EXPECT_EQ(Out[1].Text, CompileService().handle(Li).Text);
+}
+
 // The vscd parse loop, hoisted into the library so this contract is
 // testable without a process: every request line in the stream becomes
 // exactly one slot, blank/comment lines vanish, parse errors are captured
