@@ -3,14 +3,10 @@
 /// Measures the predecoded fast path (SimEngine, the engine behind
 /// vsc::simulate) against the original walking interpreter
 /// (vsc::simulateLegacy) on the six kernels at the VLIW level, reference
-/// inputs. Both compiled dispatch flavours (portable switch and, when
-/// VSC_COMPUTED_GOTO is on, computed-goto threaded) are timed per kernel;
-/// the headline speedup uses whichever flavour a default run would pick.
-/// Reports per-kernel wall-clock, the one-time predecode cost, and the
-/// geomean speedup; writes the table as BENCH_sim.json (override the path
-/// with --sim-out=FILE). Every timed pair is fingerprint-checked in every
-/// dispatch mode — a fast path that diverges aborts instead of reporting
-/// numbers.
+/// inputs. Reports per-kernel wall-clock, the one-time predecode cost, and
+/// the geomean speedup; writes the table as BENCH_sim.json (override the
+/// path with --sim-out=FILE). Every timed pair is fingerprint-checked — a
+/// fast path that diverges aborts instead of reporting numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,14 +61,10 @@ int main(int Argc, char **Argv) {
   }
   int RestArgc = static_cast<int>(Rest.size());
 
-  const bool HaveThreaded = threadedDispatchAvailable();
   std::printf("Simulator: legacy walking interpreter vs predecoded fast "
               "path (VLIW level, ref inputs, best of 5)\n");
-  std::printf("default dispatch: %s\n",
-              dispatchModeName(DispatchMode::Default));
-  std::printf("%-10s %14s %12s %12s %12s %9s %12s\n", "Benchmark",
-              "dyn.instrs", "legacy(ms)", "switch(ms)", "threaded(ms)",
-              "speedup", "predecode(ms)");
+  std::printf("%-10s %14s %12s %12s %9s %12s\n", "Benchmark", "dyn.instrs",
+              "legacy(ms)", "fast(ms)", "speedup", "predecode(ms)");
 
   std::vector<double> Speedups;
   JsonWriter Json;
@@ -89,44 +81,20 @@ int main(int Argc, char **Argv) {
     });
 
     SimEngine E(*M, rs6000());
-    RunOptions InSwitch = In;
-    InSwitch.Dispatch = DispatchMode::Switch;
-    RunOptions InThreaded = In;
-    InThreaded.Dispatch = DispatchMode::Threaded;
-
     RunResult RLegacy = simulateLegacy(*M, rs6000(), In);
-    checkSame(RLegacy, E.run(InSwitch), W.Name.c_str());
-    if (HaveThreaded)
-      checkSame(RLegacy, E.run(InThreaded), W.Name.c_str());
+    checkSame(RLegacy, E.run(In), W.Name.c_str());
 
     double Legacy =
         bestOf(5, [&] { benchmark::DoNotOptimize(
                             simulateLegacy(*M, rs6000(), In).Cycles); });
-    double Switch =
-        bestOf(5, [&] { benchmark::DoNotOptimize(E.run(InSwitch).Cycles); });
-    double Threaded =
-        HaveThreaded
-            ? bestOf(5,
-                     [&] { benchmark::DoNotOptimize(E.run(InThreaded).Cycles); })
-            : 0.0;
-    // Headline "fast" is whatever a default-mode run would execute.
-    double Fast = (resolveDispatchMode(DispatchMode::Default) ==
-                   DispatchMode::Threaded)
-                      ? Threaded
-                      : Switch;
+    double Fast =
+        bestOf(5, [&] { benchmark::DoNotOptimize(E.run(In).Cycles); });
     double Speedup = Legacy / Fast;
     Speedups.push_back(Speedup);
 
-    char ThreadedCol[32];
-    if (HaveThreaded)
-      std::snprintf(ThreadedCol, sizeof(ThreadedCol), "%.2f", Threaded * 1e3);
-    else
-      std::snprintf(ThreadedCol, sizeof(ThreadedCol), "n/a");
-    std::printf("%-10s %14llu %12.2f %12.2f %12s %8.2fx %12.3f\n",
-                W.Name.c_str(),
+    std::printf("%-10s %14llu %12.2f %12.2f %8.2fx %12.3f\n", W.Name.c_str(),
                 static_cast<unsigned long long>(RLegacy.DynInstrs),
-                Legacy * 1e3, Switch * 1e3, ThreadedCol, Speedup,
-                Predecode * 1e3);
+                Legacy * 1e3, Fast * 1e3, Speedup, Predecode * 1e3);
 
     Json.beginObject()
         .key("name")
@@ -135,11 +103,7 @@ int main(int Argc, char **Argv) {
         .num(RLegacy.DynInstrs)
         .key("legacy_seconds")
         .num(Legacy, 6)
-        .key("fast_switch_seconds")
-        .num(Switch, 6);
-    if (HaveThreaded)
-      Json.key("fast_threaded_seconds").num(Threaded, 6);
-    Json.key("fast_seconds")
+        .key("fast_seconds")
         .num(Fast, 6)
         .key("speedup")
         .num(Speedup, 3)
@@ -148,15 +112,10 @@ int main(int Argc, char **Argv) {
         .endObject();
   }
   double Geomean = geomean(Speedups);
-  std::printf("%-10s %14s %12s %12s %12s %8.2fx\n\n", "geomean", "", "", "",
-              "", Geomean);
+  std::printf("%-10s %14s %12s %12s %8.2fx\n\n", "geomean", "", "", "",
+              Geomean);
 
-  Json.endArray()
-      .key("dispatch")
-      .str(dispatchModeName(DispatchMode::Default))
-      .key("geomean_speedup")
-      .num(Geomean, 3)
-      .endObject();
+  Json.endArray().key("geomean_speedup").num(Geomean, 3).endObject();
   if (FILE *F = std::fopen(OutPath.c_str(), "w")) {
     std::fputs(Json.take().c_str(), F);
     std::fclose(F);

@@ -11,11 +11,9 @@
 # run also validates the pipeline on 40 programs no previous run has
 # seen, with the analysis-cache recompute-and-compare checker forced on
 # (VSC_CHECK_ANALYSES=1). Finally each configuration runs the simulator
-# fast-path differential + oracle suites in both dispatch flavours
-# (VSC_DISPATCH=threaded and =switch) and the alias-analysis/audit suites
-# explicitly; a third, switch-only build (-DVSC_COMPUTED_GOTO=OFF) proves
-# the threaded loop is never a correctness dependency. The default
-# configuration also runs the benchmark's self-test.
+# fast-path differential + oracle suites, the cost-model-vs-simulator
+# timing differential, and the alias-analysis/audit suites explicitly.
+# The default configuration also runs the benchmark's self-test.
 #
 #   scripts/ci.sh [JOBS]
 #
@@ -66,16 +64,13 @@ run_config() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
     -R 'MinII|ExactPipeliner|ExactGrade|ExactApply|ExactEdge'
   # The predecoded simulator must stay byte-identical to the legacy
-  # interpreter — in both compiled dispatch flavours. VSC_DISPATCH steers
-  # every DispatchMode::Default run in the child processes, so each pass
-  # drives the whole differential suite (and the oracle, which executes
-  # over the same predecoded image) through one flavour end to end.
-  for dispatch in threaded switch; do
-    echo "=== [$name] simulator fast-path + oracle suites, VSC_DISPATCH=$dispatch ==="
-    VSC_DISPATCH="$dispatch" \
-      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-      -R 'Fastpath|SimFastpath|SimDispatch|Oracle'
-  done
+  # interpreter (the oracle executes over the same predecoded image), and
+  # the scheduler's cycle estimate must equal both simulators' cycles on
+  # random single blocks, which share the issue rules of
+  # machine/IssueCore.h.
+  echo "=== [$name] simulator fast-path + oracle + timing differential suites ==="
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+    -R 'Fastpath|SimFastpath|SimDispatch|Oracle|TimingDifferential'
   # ProfileStore + PDF experiment driver: persistence round-trips, dense
   # parity with the string-keyed path, and thread-count invariance of
   # the whole experiment (run at both counts like the main suite).
@@ -170,14 +165,4 @@ echo "=== [default] benchmark self-test ==="
 python3 "$ROOT/perfbench/selftest.py"
 run_config sanitize "$ROOT/build-sanitize" -DVSC_SANITIZE=ON
 
-# A switch-only build (no computed goto compiled in at all) must still pass
-# the dispatch/fast-path/oracle suites: the threaded flavour is a pure
-# performance knob, never a correctness dependency.
-echo "=== [switch-only] configure + build ==="
-cmake -B "$ROOT/build-switch" -S "$ROOT" -DVSC_COMPUTED_GOTO=OFF
-cmake --build "$ROOT/build-switch" -j "$JOBS"
-echo "=== [switch-only] simulator fast-path + oracle + dispatch suites ==="
-ctest --test-dir "$ROOT/build-switch" --output-on-failure -j "$JOBS" \
-  -R 'Fastpath|SimFastpath|SimDispatch|Oracle'
-
-echo "=== CI green: default + sanitize + switch-only ==="
+echo "=== CI green: default + sanitize ==="

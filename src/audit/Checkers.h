@@ -40,7 +40,7 @@
 ///    dispatch group no more than FxuWidth/BuWidth operations per unit,
 ///    groups in non-decreasing cycle order covering every instruction
 ///    exactly once, and no non-branch instruction consuming a result
-///    before MachineModel::latencyOf cycles after its producer issued.
+///    before MachineModel::defLatency cycles after its producer issued.
 ///
 ///  * auditCfgLoopIntegrity — CFG/loop invariants the reordering passes
 ///    must preserve: the entry block has no predecessors (otherwise the

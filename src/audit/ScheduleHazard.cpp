@@ -108,13 +108,14 @@ void vsc::auditPacking(const Function &F, const BasicBlock &BB,
         if (!DefsU)
           continue;
         const Instr &Producer = BB.instrs()[P];
-        uint64_t Ready = CycleOf[P] + MM.latencyOf(Producer);
+        unsigned Lat = MM.defLatency(Producer, U);
+        uint64_t Ready = CycleOf[P] + Lat;
         if (CycleOf[Q] < Ready)
           Add(opRef(BB, Q),
               "consumes " + U.str() + " in cycle " +
                   std::to_string(CycleOf[Q]) + ", but its producer '" +
                   Producer.str() + "' (cycle " + std::to_string(CycleOf[P]) +
-                  ", latency " + std::to_string(MM.latencyOf(Producer)) +
+                  ", latency " + std::to_string(Lat) +
                   ") only delivers it in cycle " + std::to_string(Ready));
         break;
       }

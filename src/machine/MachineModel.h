@@ -3,9 +3,10 @@
 /// \file
 /// Parametric descriptions of the in-order superscalar targets the paper
 /// evaluates on (RS/6000 POWER, Power2, PowerPC 601). The timing simulator
-/// (sim/Simulator.h) interprets these parameters; basic block expansion
-/// reads ExpansionObjective as its machine-specific copy rule; the
-/// schedulers read the latencies to build their cycle model.
+/// (sim/Simulator.h) and the schedulers' cycle model interpret these
+/// parameters through one set of issue rules (machine/IssueCore.h); basic
+/// block expansion reads ExpansionObjective as its machine-specific copy
+/// rule.
 ///
 /// Calibration: on the rs6000() model the paper's original `xlygetvalue`
 /// loop costs exactly 11 cycles per iteration (tests/sim_calibration).
@@ -67,6 +68,14 @@ struct MachineModel {
     default:
       return AluLatency;
     }
+  }
+
+  /// Cycles after \p I issues until its def \p D is ready. An LU's
+  /// updated base is an address add, ready after AluLatency (also when the
+  /// loaded value lands in the base register); every other def after
+  /// latencyOf(I).
+  unsigned defLatency(const Instr &I, Reg D) const {
+    return I.Op == Opcode::LU && D == I.Src1 ? AluLatency : latencyOf(I);
   }
 
   UnitKind unitOf(const Instr &I) const { return opcodeInfo(I.Op).Unit; }

@@ -53,8 +53,16 @@ void addDepEdge(std::vector<LoopDepEdge> &Edges,
   L.collectDefs(LDefs);
   L.collectUses(LUses);
 
-  if (intersects(EDefs, LUses)) { // flow: result latency applies
-    Edges.push_back({I, J, MM.latencyOf(E), Dist});
+  // Flow: the latest ready time among the defs L reads applies.
+  unsigned FlowLat = 0;
+  bool Flow = false;
+  for (Reg D : EDefs)
+    if (std::find(LUses.begin(), LUses.end(), D) != LUses.end()) {
+      FlowLat = std::max(FlowLat, MM.defLatency(E, D));
+      Flow = true;
+    }
+  if (Flow) {
+    Edges.push_back({I, J, FlowLat, Dist});
     return;
   }
   // Anti/output/ordering edges carry latency 0: the engine issues in

@@ -16,8 +16,8 @@
 ///    latency - II*distance (Bellman-Ford relaxation).
 ///
 /// The dependence graph mirrors the timing model the schedulers optimize
-/// (vliw/Schedule.cpp's IssueEngine): register flow edges carry the
-/// producer's latency; anti/output and memory/call ordering edges carry
+/// (machine/IssueCore.h): register flow edges carry the producer's
+/// latency for the def read (MachineModel::defLatency); anti/output and memory/call ordering edges carry
 /// latency 0 (the engine imposes no cross-operation memory delay — program
 /// order decides semantics); loop-carried edges all have distance 1 (the
 /// body is a single chain, so an operation of iteration k+1 depends on

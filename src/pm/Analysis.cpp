@@ -51,14 +51,6 @@ const LoopInfo &FunctionAnalyses::loops() {
   return *LoopsA;
 }
 
-const BiconnectedComponents &FunctionAnalyses::biconnected() {
-  freshen();
-  count(BiconA != nullptr);
-  if (!BiconA)
-    BiconA = std::make_unique<BiconnectedComponents>(cfg());
-  return *BiconA;
-}
-
 const RegUniverse &FunctionAnalyses::universe() {
   freshen();
   count(UnivA != nullptr);
@@ -117,7 +109,6 @@ void FunctionAnalyses::invalidate(const PreservedAnalyses &PA) {
   bool DropDom = DropCfg || !PA.preserves(AnalysisKind::Dominators);
   bool DropPostDom = DropCfg || !PA.preserves(AnalysisKind::PostDominators);
   bool DropLoops = DropDom || !PA.preserves(AnalysisKind::Loops);
-  bool DropBicon = DropCfg || !PA.preserves(AnalysisKind::Biconnected);
   bool DropLive = DropCfg || !PA.preserves(AnalysisKind::Liveness);
   // Alias tracks register contents through the loop structure: anything
   // that moves control flow, loops, or register values moves it too.
@@ -140,8 +131,6 @@ void FunctionAnalyses::invalidate(const PreservedAnalyses &PA) {
   }
   if (DropLoops)
     LoopsA.reset();
-  if (DropBicon)
-    BiconA.reset();
   if (DropPostDom)
     PostDomA.reset();
   if (DropDom)
@@ -156,7 +145,6 @@ void FunctionAnalyses::invalidateAll() {
   LiveA.reset();
   UnivA.reset();
   LoopsA.reset();
-  BiconA.reset();
   PostDomA.reset();
   DomA.reset();
   CfgA.reset();
@@ -175,8 +163,6 @@ bool FunctionAnalyses::hasCached(AnalysisKind K) const {
     return PostDomA != nullptr;
   case AnalysisKind::Loops:
     return LoopsA != nullptr;
-  case AnalysisKind::Biconnected:
-    return BiconA != nullptr;
   case AnalysisKind::Liveness:
     return UnivA != nullptr && LiveA != nullptr;
   case AnalysisKind::Alias:
@@ -235,21 +221,6 @@ std::string summarizeLoops(const LoopInfo &LI) {
   return OS.str();
 }
 
-std::string summarizeBicon(const BiconnectedComponents &BC) {
-  std::ostringstream OS;
-  OS << "root" << BC.rootComponent() << ";";
-  for (const auto &C : BC.components()) {
-    OS << "(p" << C.Parent << ",s"
-       << (C.SharedWithParent ? C.SharedWithParent->label() : "-") << "){";
-    for (const BasicBlock *BB : C.Blocks)
-      OS << BB->label() << " ";
-    OS << "};";
-  }
-  for (const BasicBlock *BB : BC.articulationPoints())
-    OS << "art:" << BB->label() << ";";
-  return OS.str();
-}
-
 std::string summarizeLiveness(const Function &F, const RegUniverse &U,
                               const Liveness &L) {
   // RegUniverse enumerates registers in instruction order, so two
@@ -304,11 +275,6 @@ std::string FunctionAnalyses::verifyCache() {
         return "stale Loops for @" + F.name() +
                ": a pass mutated control flow but claimed to preserve Loops";
     }
-    if (BiconA && summarizeBicon(*BiconA) !=
-                      summarizeBicon(BiconnectedComponents(Fresh)))
-      return "stale Biconnected for @" + F.name() +
-             ": a pass mutated control flow but claimed to preserve "
-             "Biconnected";
     if (UnivA && LiveA) {
       RegUniverse FreshU(F);
       if (summarizeLiveness(F, *UnivA, *LiveA) !=

@@ -5,8 +5,8 @@
 ///
 /// FunctionAnalyses owns at most one cached instance of each analysis the
 /// pipeline uses (Cfg, Dominators, PostDominators, LoopInfo,
-/// BiconnectedComponents, RegUniverse+Liveness) for one function. Getters
-/// compute on first use and return a cached const reference afterwards.
+/// RegUniverse+Liveness) for one function. Getters compute on first use
+/// and return a cached const reference afterwards.
 ///
 /// Invalidation is two-layered:
 ///
@@ -51,7 +51,6 @@
 
 #include "analysis/Liveness.h"
 #include "analysis/ValueTrack.h"
-#include "cfg/Biconnected.h"
 #include "cfg/Dominators.h"
 #include "cfg/Loops.h"
 #include "ir/Module.h"
@@ -73,12 +72,11 @@ enum class AnalysisKind : unsigned {
   Dominators,
   PostDominators,
   Loops,
-  Biconnected,
   Liveness,
   Alias,
   MinII,
 };
-constexpr unsigned NumAnalysisKinds = 8;
+constexpr unsigned NumAnalysisKinds = 7;
 
 /// What a pass kept intact, as a bitmask over AnalysisKind. Passes build
 /// one of these as their return value; the manager applies it (plus the
@@ -94,7 +92,7 @@ public:
   static PreservedAnalyses all() { return PreservedAnalyses(AllMask); }
 
   /// Structure survives, register contents do not: Cfg, Dominators,
-  /// PostDominators, Loops and Biconnected are kept; Liveness and the
+  /// PostDominators and Loops are kept; Liveness and the
   /// alias analysis (both functions of register contents) are dropped.
   /// Correct for in-place rewrites that leave every branch and block
   /// boundary untouched (copy propagation, local value numbering).
@@ -145,7 +143,6 @@ public:
   const Dominators &dominators();
   const Dominators &postDominators();
   const LoopInfo &loops();
-  const BiconnectedComponents &biconnected();
   const RegUniverse &universe();
   const Liveness &liveness();
   const AliasAnalysis &aliasAnalysis();
@@ -185,7 +182,6 @@ private:
   std::unique_ptr<Dominators> DomA;
   std::unique_ptr<Dominators> PostDomA;
   std::unique_ptr<LoopInfo> LoopsA;
-  std::unique_ptr<BiconnectedComponents> BiconA;
   std::unique_ptr<RegUniverse> UnivA;
   std::unique_ptr<Liveness> LiveA;
   std::unique_ptr<AliasAnalysis> AliasA;

@@ -2,22 +2,22 @@
 ///
 /// The execution engine behind vsc::simulate / simulateBatch / SimEngine:
 /// runs the functional+timing loop over the packed 32-byte records of a
-/// SimImage (sim/Predecode.h). The loop body lives in FastSimBody.inc and
-/// is compiled twice — once as a portable big switch, once (when
-/// VSC_COMPUTED_GOTO is enabled and the compiler has the labels-as-values
-/// extension) as computed-goto threaded dispatch; DispatchMode selects the
-/// flavour per run. Fused superinstruction records (SimOpFuse*) execute
-/// both constituents in one handler, charging the instruction budget and
+/// SimImage (sim/Predecode.h). The loop body, one switch over the record's
+/// opcode, lives in FastSimBody.inc; timing goes through the machine's
+/// issue rules (machine/IssueCore.h), which the scheduler's cost model
+/// shares. Fused superinstruction records (SimOpFuse*) execute both
+/// constituents in one handler, charging the instruction budget and
 /// issuing each constituent exactly where the unfused sequence would.
 ///
 /// Must stay bit-identical to the walking interpreter in Simulator.cpp
-/// (simulateLegacy) in every dispatch mode — tests/test_sim_fastpath.cpp
-/// and tests/test_sim_dispatch.cpp enforce that, so any semantic change
-/// must be made in both files.
+/// (simulateLegacy) — tests/test_sim_fastpath.cpp and
+/// tests/test_sim_dispatch.cpp enforce that, so any semantic change must
+/// be made in both places.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/Abi.h"
+#include "machine/IssueCore.h"
 #include "sim/Predecode.h"
 #include "sim/SimCore.h"
 #include "sim/Simulator.h"
@@ -25,54 +25,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
 
 using namespace vsc;
-
-// The threaded flavour needs the GNU labels-as-values extension; the CMake
-// option gates it off for portability testing (and for compilers without
-// the extension).
-#if defined(VSC_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define VSC_FS_HAVE_THREADED 1
-#else
-#define VSC_FS_HAVE_THREADED 0
-#endif
-
-// The threaded handler table in FastSimBody.inc lists the architectural
-// opcodes in enum order followed by the fused SimOps; pin the layout it
-// assumes.
-static_assert(static_cast<uint8_t>(Opcode::NumOpcodes) == 36,
-              "threaded handler table must list every opcode in enum order");
-static_assert(SimOpFuseCmpB == 36 && SimOpFuseLtocL == 37 &&
-                  SimOpFuseLdAlu == 38 && NumSimOps == 39,
-              "threaded handler table must end with the fused SimOps");
-
-bool vsc::threadedDispatchAvailable() { return VSC_FS_HAVE_THREADED != 0; }
-
-DispatchMode vsc::resolveDispatchMode(DispatchMode Mode) {
-  if (Mode == DispatchMode::Default) {
-    if (const char *Env = std::getenv("VSC_DISPATCH")) {
-      if (std::strcmp(Env, "switch") == 0)
-        Mode = DispatchMode::Switch;
-      else if (std::strcmp(Env, "threaded") == 0)
-        Mode = DispatchMode::Threaded;
-    }
-    if (Mode == DispatchMode::Default)
-      Mode = threadedDispatchAvailable() ? DispatchMode::Threaded
-                                         : DispatchMode::Switch;
-  }
-  if (Mode == DispatchMode::Threaded && !threadedDispatchAvailable())
-    Mode = DispatchMode::Switch;
-  return Mode;
-}
-
-const char *vsc::dispatchModeName(DispatchMode Mode) {
-  return resolveDispatchMode(Mode) == DispatchMode::Threaded ? "threaded"
-                                                             : "switch";
-}
 
 namespace {
 
@@ -115,7 +72,8 @@ public:
               DenseCounters *DenseOut = nullptr)
       : Img(Img), Model(Img.Model), Opts(Opts), Mem(A.Mem),
         BlockHits(A.BlockHits), EdgeHits(A.EdgeHits),
-        CallStack(A.CallStack), DenseOut(DenseOut), W(Opts.Watcher) {}
+        CallStack(A.CallStack), DenseOut(DenseOut), W(Opts.Watcher),
+        Core(Model) {}
 
   RunResult run() {
     RunResult R;
@@ -150,23 +108,14 @@ public:
       W->enterBlock(Img.Blocks[Blk].Origin);
     }
 
-#if VSC_FS_HAVE_THREADED
-    if (resolveDispatchMode(Opts.Dispatch) == DispatchMode::Threaded) {
-      execThreaded(R);
-      return R;
-    }
-#endif
-    execSwitch(R);
+    exec(R);
     return R;
   }
 
 private:
-  // The execution loop, compiled in both dispatch flavours from
-  // FastSimBody.inc. Every return path inside has called trap()/finish().
-  void execSwitch(RunResult &R);
-#if VSC_FS_HAVE_THREADED
-  void execThreaded(RunResult &R);
-#endif
+  // The execution loop (FastSimBody.inc). Every return path inside has
+  // called trap()/finish().
+  void exec(RunResult &R);
 
   // --- functional helpers -------------------------------------------------
 
@@ -222,7 +171,9 @@ private:
       H *= 1099511628211ULL;
     }
     R.MemDigest = H;
-    R.Cycles = PrevIssue;
+    R.Cycles = Core.lastIssue();
+    R.OperandStallCycles = Core.operandStallCycles();
+    R.BranchStallCycles = Core.branchStallCycles();
     if (Opts.KeepMemory)
       R.Memory = Mem;
     R.GlobalBase = Img.GlobalBase;
@@ -337,125 +288,6 @@ private:
     return T;
   }
 
-  // --- timing -------------------------------------------------------------
-
-  /// Finds the issue cycle for an instruction of unit class \p Unit whose
-  /// operands/floors allow issue at \p Earliest, honouring issue width.
-  uint64_t allocUnit(UnitKind Unit, uint64_t Earliest) {
-    uint64_t C = Earliest;
-    if (Unit == UnitKind::Fxu) {
-      if (FxuCycle == C && FxuCount >= Model.FxuWidth)
-        C = FxuCycle + 1;
-      if (FxuCycle != C) {
-        FxuCycle = C;
-        FxuCount = 0;
-      }
-      ++FxuCount;
-    } else if (Unit == UnitKind::Bu) {
-      if (BuCycle == C && BuCount >= Model.BuWidth)
-        C = BuCycle + 1;
-      if (BuCycle != C) {
-        BuCycle = C;
-        BuCount = 0;
-      }
-      ++BuCount;
-    }
-    return C;
-  }
-
-  // The legacy engine's issue() is split per opcode shape so each handler
-  // inlines exactly the bookkeeping it needs — the hot ALU/memory path
-  // carries no branch-kind dispatch at all. Semantics are identical; the
-  // shared front half below is verbatim from the legacy issue().
-
-  /// Shared front half: fetch/operand floor, the speculation window, unit
-  /// allocation and operand-stall accounting. \p OperandFloor is the
-  /// caller-computed operand ready time — 0 for branches, which issue
-  /// before their condition resolves (predicted untaken), exactly like
-  /// the legacy engine's !IsBranch gate.
-  uint64_t issueAt(uint64_t OperandFloor, UnitKind Unit, RunResult &R) {
-    uint64_t Base = std::max(PrevIssue, FetchFloor);
-    uint64_t Earliest = std::max(Base, OperandFloor);
-    // Limited dispatch beyond an unresolved conditional branch.
-    if (Earliest < PendingResolve) {
-      if (SpecBudget == 0)
-        Earliest = PendingResolve;
-      else
-        --SpecBudget;
-    }
-    uint64_t C = allocUnit(Unit, Earliest);
-    if (OperandFloor > Base)
-      R.OperandStallCycles += OperandFloor - Base;
-    return C;
-  }
-
-  /// Ordinary (non-control) instruction — always Fxu. Also the right
-  /// issue for every first-of-pair fused constituent (C/CI, LTOC, L),
-  /// which the legacy bookkeeping treated as ordinary too.
-  uint64_t issuePlain(uint64_t OperandFloor, RunResult &R) {
-    uint64_t C = issueAt(OperandFloor, UnitKind::Fxu, R);
-    ++InstrsSinceCondBranch;
-    PrevIssue = C;
-    return C;
-  }
-
-  /// BT/BF: taken pays the redirect from the condition's ready time;
-  /// untaken with a late condition opens the speculation window.
-  uint64_t issueCondCr(const DecodedInstr &D, bool Taken, RunResult &R) {
-    uint64_t C = issueAt(0, UnitKind::Bu, R);
-    uint64_t CrReady = Regs.crReady(packedId(D.Src1));
-    uint64_t Resolve = std::max(C, CrReady);
-    if (Taken) {
-      uint64_t NewFloor = std::max(C, CrReady + Model.TakenBranchRedirect);
-      if (NewFloor > C)
-        R.BranchStallCycles += NewFloor - C;
-      FetchFloor = std::max(FetchFloor, NewFloor);
-    } else if (Resolve > C) {
-      PendingResolve = Resolve;
-      SpecBudget = Model.SpecWindow;
-    }
-    LastCondResolve = Resolve;
-    InstrsSinceCondBranch = 0;
-    PrevIssue = C;
-    return C;
-  }
-
-  uint64_t issueBct(RunResult &R) {
-    uint64_t C = issueAt(0, UnitKind::Bu, R);
-    uint64_t Resolve = std::max(C, Regs.CtrReady);
-    FetchFloor = std::max(FetchFloor, Resolve); // branch-on-count is free
-    LastCondResolve = Resolve;
-    InstrsSinceCondBranch = 0;
-    PrevIssue = C;
-    return C;
-  }
-
-  /// B: free when the branch unit saw it early enough; pays the redirect
-  /// when it sits in the shadow of a recent conditional branch (the
-  /// stall basic block expansion removes).
-  uint64_t issueB(RunResult &R) {
-    uint64_t C = issueAt(0, UnitKind::Bu, R);
-    if (InstrsSinceCondBranch < Model.ExpansionObjective) {
-      uint64_t NewFloor =
-          std::max(C, LastCondResolve + Model.TakenBranchRedirect);
-      if (NewFloor > C)
-        R.BranchStallCycles += NewFloor - C;
-      FetchFloor = std::max(FetchFloor, NewFloor);
-    }
-    ++InstrsSinceCondBranch;
-    PrevIssue = C;
-    return C;
-  }
-
-  uint64_t issueCallRet(uint64_t OperandFloor, RunResult &R) {
-    uint64_t C = issueAt(OperandFloor, UnitKind::Bu, R);
-    FetchFloor = std::max(FetchFloor, C + Model.TakenBranchRedirect);
-    R.BranchStallCycles += Model.TakenBranchRedirect;
-    InstrsSinceCondBranch = 0;
-    PrevIssue = C;
-    return C;
-  }
-
   /// Kills everything the linkage convention says a call clobbers (see
   /// the legacy engine for the rationale; poison from ir/Abi.h).
   void scrubCallClobbers(int64_t KeepArgs) {
@@ -491,31 +323,13 @@ private:
   uint32_t Blk = 0; // global block index
   size_t InputPos = 0;
 
-  // Timing.
+  IssueCore Core;
   bool Finished = false;
-  uint64_t PrevIssue = 0;
-  uint64_t FetchFloor = 1;
-  uint64_t FxuCycle = 0, BuCycle = 0;
-  unsigned FxuCount = 0, BuCount = 0;
-  uint64_t PendingResolve = 0;
-  unsigned SpecBudget = 0;
-  uint64_t LastCondResolve = 0;
-  uint64_t InstrsSinceCondBranch = 1'000'000;
 };
 
-void FastMachine::execSwitch(RunResult &R) {
-#define VSC_FS_THREADED 0
+void FastMachine::exec(RunResult &R) {
 #include "FastSimBody.inc"
-#undef VSC_FS_THREADED
 }
-
-#if VSC_FS_HAVE_THREADED
-void FastMachine::execThreaded(RunResult &R) {
-#define VSC_FS_THREADED 1
-#include "FastSimBody.inc"
-#undef VSC_FS_THREADED
-}
-#endif
 
 } // namespace
 

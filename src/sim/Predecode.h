@@ -58,9 +58,9 @@ enum class SimBuiltin : int8_t {
 
 /// Execution opcode: the architectural Opcode values, followed by the
 /// fused superinstructions the predecoder may substitute on the first
-/// record of an adjacent pair. Dispatch tables are indexed by SimOp; the
-/// dispatch-completeness test asserts every value has a handler in both
-/// dispatch modes.
+/// record of an adjacent pair. The fast path switches on SimOp; the
+/// dispatch-completeness test runs every value against the legacy
+/// interpreter.
 enum : uint8_t {
   /// C/CI immediately followed by a BT/BF reading the compare's Dst cr.
   SimOpFuseCmpB = static_cast<uint8_t>(Opcode::NumOpcodes),

@@ -109,35 +109,6 @@ public:
   virtual void memAccess(const Instr *I, uint64_t Addr, unsigned Size) = 0;
 };
 
-/// How the fast path's execution loop dispatches decoded records. The two
-/// compiled flavours are semantically identical — bit-identical RunResults
-/// are enforced by the differential tests — so the mode is a pure
-/// performance knob and is excluded from runOptionsFingerprint, like
-/// Watcher and KeepMemory.
-enum class DispatchMode : uint8_t {
-  /// Threaded when compiled in, else switch; the VSC_DISPATCH environment
-  /// variable ("threaded" / "switch") overrides, so CI can drive whole
-  /// test binaries through either flavour.
-  Default,
-  /// Portable big-switch dispatch (always available).
-  Switch,
-  /// Computed-goto threaded dispatch. Requires the VSC_COMPUTED_GOTO
-  /// build option and a compiler with the labels-as-values extension;
-  /// silently falls back to Switch otherwise.
-  Threaded,
-};
-
-/// True when the computed-goto flavour was compiled into this binary.
-bool threadedDispatchAvailable();
-
-/// The flavour a run with \p Mode would actually execute, after the
-/// VSC_DISPATCH override and compiled-availability fallback (never
-/// DispatchMode::Default).
-DispatchMode resolveDispatchMode(DispatchMode Mode);
-
-/// Short name for a resolved mode: "switch" / "threaded".
-const char *dispatchModeName(DispatchMode Mode);
-
 struct RunOptions {
   std::string EntryFunction = "main";
   std::vector<int64_t> Args;
@@ -149,8 +120,6 @@ struct RunOptions {
   /// Fast-path-only observation hook; see MemAccessWatcher. The legacy
   /// engine ignores it (the bit-identity tests never install one).
   MemAccessWatcher *Watcher = nullptr;
-  /// Fast-path dispatch flavour; results are identical in every mode.
-  DispatchMode Dispatch = DispatchMode::Default;
 };
 
 /// Content fingerprint of everything about \p Opts that can influence a

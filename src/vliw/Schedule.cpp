@@ -7,6 +7,7 @@
 #include "cfg/CfgEdit.h"
 #include "cfg/Dominators.h"
 #include "cfg/Loops.h"
+#include "machine/IssueCore.h"
 #include "profile/ProfileData.h"
 #include "vliw/Rename.h"
 
@@ -20,109 +21,36 @@ using namespace vsc;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Issue-cost engine (mirrors sim/Simulator.cpp's issue rules)
+// Issue-cost engine: the machine's issue rules (machine/IssueCore.h) over
+// a register-to-ready-time map
 //===----------------------------------------------------------------------===//
 
 class IssueEngine {
 public:
-  explicit IssueEngine(const MachineModel &MM) : MM(MM) {}
+  explicit IssueEngine(const MachineModel &MM) : MM(MM), Core(MM) {}
 
   /// Issue cycle \p I would get right now, without committing.
-  uint64_t tryIssue(const Instr &I) const {
-    uint64_t Earliest = std::max(PrevIssue, FetchFloor);
-    if (!I.isBranch())
-      Earliest = std::max(Earliest, operandReady(I));
-    if (Earliest < PendingResolve && SpecBudget == 0)
-      Earliest = PendingResolve;
-    // Unit contention.
-    if (MM.unitOf(I) == UnitKind::Fxu) {
-      if (FxuCycle == Earliest && FxuCount >= MM.FxuWidth)
-        return Earliest + 1;
-    } else if (MM.unitOf(I) == UnitKind::Bu) {
-      if (BuCycle == Earliest && BuCount >= MM.BuWidth)
-        return Earliest + 1;
-    }
-    return Earliest;
-  }
+  uint64_t tryIssue(const Instr &I) const { return Core.peek(I, *this); }
 
   /// Issues \p I (with branch direction \p Taken) and returns its cycle.
   uint64_t issue(const Instr &I, bool Taken) {
-    uint64_t Earliest = std::max(PrevIssue, FetchFloor);
-    if (!I.isBranch())
-      Earliest = std::max(Earliest, operandReady(I));
-    if (Earliest < PendingResolve) {
-      if (SpecBudget == 0)
-        Earliest = PendingResolve;
-      else
-        --SpecBudget;
-    }
-    uint64_t C = Earliest;
-    if (MM.unitOf(I) == UnitKind::Fxu) {
-      if (FxuCycle == C && FxuCount >= MM.FxuWidth)
-        ++C;
-      if (FxuCycle != C) {
-        FxuCycle = C;
-        FxuCount = 0;
-      }
-      ++FxuCount;
-    } else if (MM.unitOf(I) == UnitKind::Bu) {
-      if (BuCycle == C && BuCount >= MM.BuWidth)
-        ++C;
-      if (BuCycle != C) {
-        BuCycle = C;
-        BuCount = 0;
-      }
-      ++BuCount;
-    }
-
-    if (I.Op == Opcode::BT || I.Op == Opcode::BF) {
-      uint64_t CrReady = readyOf(I.Src1);
-      uint64_t Resolve = std::max(C, CrReady);
-      if (Taken)
-        FetchFloor = std::max(
-            FetchFloor, std::max(C, CrReady + MM.TakenBranchRedirect));
-      else if (Resolve > C) {
-        PendingResolve = Resolve;
-        SpecBudget = MM.SpecWindow;
-      }
-      LastCondResolve = Resolve;
-      SinceCondBranch = 0;
-    } else if (I.Op == Opcode::BCT) {
-      uint64_t Resolve = std::max(C, readyOf(Reg::ctr()));
-      FetchFloor = std::max(FetchFloor, Resolve);
-      LastCondResolve = Resolve;
-      SinceCondBranch = 0;
-    } else if (I.Op == Opcode::B) {
-      if (SinceCondBranch < MM.ExpansionObjective)
-        FetchFloor = std::max(
-            FetchFloor, std::max(C, LastCondResolve + MM.TakenBranchRedirect));
-      ++SinceCondBranch;
-    } else if (I.isCall() || I.isRet()) {
-      FetchFloor = std::max(FetchFloor, C + MM.TakenBranchRedirect);
-      SinceCondBranch = 0;
-    } else {
-      ++SinceCondBranch;
-    }
-
-    // Commit defs.
+    uint64_t C = Core.issue(I, Taken, *this);
     Defs.clear();
     I.collectDefs(Defs);
     for (Reg D : Defs)
-      Ready[D] = C + MM.latencyOf(I);
-
-    PrevIssue = C;
+      Ready[D] = C + MM.defLatency(I, D);
     return C;
   }
 
-  uint64_t lastIssue() const { return PrevIssue; }
+  uint64_t lastIssue() const { return Core.lastIssue(); }
 
-private:
+  // The ready-time lookups IssueCore::issue reads.
   uint64_t readyOf(Reg R) const {
     auto It = Ready.find(R);
     return It == Ready.end() ? 0 : It->second;
   }
 
-  uint64_t operandReady(const Instr &I) const {
+  uint64_t operandFloor(const Instr &I) const {
     Uses.clear();
     I.collectUses(Uses);
     uint64_t T = 0;
@@ -131,15 +59,10 @@ private:
     return T;
   }
 
+private:
   const MachineModel &MM;
+  IssueCore Core;
   std::unordered_map<Reg, uint64_t, RegHash> Ready;
-  uint64_t PrevIssue = 0, FetchFloor = 1;
-  uint64_t FxuCycle = 0, BuCycle = 0;
-  unsigned FxuCount = 0, BuCount = 0;
-  uint64_t PendingResolve = 0;
-  unsigned SpecBudget = 0;
-  uint64_t LastCondResolve = 0;
-  uint64_t SinceCondBranch = 1u << 20;
   mutable std::vector<Reg> Uses;
   std::vector<Reg> Defs;
 };

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 namespace vsc {
 
 inline std::unique_ptr<Module> parseOrDie(const std::string &Text) {
@@ -57,6 +59,16 @@ transformPreservesBehaviour(const std::string &Text, Fn &&Transform,
       << printModule(*Before) << "--- after ---\n"
       << printModule(*After);
   return After;
+}
+
+/// Base added to every generator seed of the fuzz suites, from
+/// VSC_FUZZ_SEED (default 0) — CI shifts them onto fresh programs without
+/// a recompile, and a failure is replayed exactly by exporting the value a
+/// report names.
+inline uint64_t fuzzBaseSeed() {
+  if (const char *E = std::getenv("VSC_FUZZ_SEED"))
+    return std::strtoull(E, nullptr, 10);
+  return 0;
 }
 
 /// Counts instructions with opcode \p Op in \p F.

@@ -16,22 +16,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 using namespace vsc;
 
 namespace {
 
 class FuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-/// Base added to every generator seed, from VSC_FUZZ_SEED (default 0) —
-/// CI shifts the whole suite onto fresh programs without a recompile, and
-/// a failure is replayed exactly by exporting the value a report names.
-uint64_t fuzzBaseSeed() {
-  if (const char *E = std::getenv("VSC_FUZZ_SEED"))
-    return std::strtoull(E, nullptr, 10);
-  return 0;
-}
 
 /// While a fuzz case runs, any pipeline abort (verifier, audit or oracle
 /// finding) appends the reproduction context to its report: the absolute

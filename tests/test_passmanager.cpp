@@ -223,13 +223,11 @@ TEST(AnalysisCache, StructurePreservesCfgButNotLiveness) {
   Function &F = *M->findFunction("main");
   FunctionAnalyses FA(F);
   (void)FA.loops();
-  (void)FA.biconnected();
   (void)FA.liveness();
   FA.invalidate(PreservedAnalyses::structure());
   EXPECT_TRUE(FA.hasCached(AnalysisKind::Cfg));
   EXPECT_TRUE(FA.hasCached(AnalysisKind::Dominators));
   EXPECT_TRUE(FA.hasCached(AnalysisKind::Loops));
-  EXPECT_TRUE(FA.hasCached(AnalysisKind::Biconnected));
   EXPECT_FALSE(FA.hasCached(AnalysisKind::Liveness));
 }
 

@@ -1,19 +1,15 @@
 //===- tests/test_sim_dispatch.cpp - Dispatch-table completeness -----------===//
 ///
-/// The fast path's execution loop is compiled twice from one body
-/// (sim/FastSimBody.inc): a portable big switch and, when
-/// VSC_COMPUTED_GOTO is on, a computed-goto threaded flavour whose label
-/// table must cover every SimOp. This suite locks down three things:
+/// The fast path's execution loop (sim/FastSimBody.inc) is one switch
+/// that must handle every SimOp. This suite locks down two things:
 ///
 ///  * Completeness — a program containing every Opcode (statically
-///    verified against NumOpcodes) runs through both flavours and matches
-///    the legacy interpreter on the full observable surface. A table hole
-///    or a mis-ordered label would diverge or trap here.
+///    verified against NumOpcodes) matches the legacy interpreter on the
+///    full observable surface. A missing or mis-wired handler would
+///    diverge or trap here.
 ///  * Fusion — each superinstruction rule (compare+branch, LTOC+load,
 ///    load+ALU) actually fires on its canonical shape, and the fused image
-///    still agrees with legacy in both flavours.
-///  * Mode resolution — the DispatchMode::Default / VSC_DISPATCH /
-///    availability-fallback rules of resolveDispatchMode.
+///    still agrees with legacy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +17,6 @@
 #include "sim/Predecode.h"
 #include "sim/Simulator.h"
 
-#include <cstdlib>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -42,14 +37,8 @@ void expectSame(const RunResult &Legacy, const RunResult &Fast,
   EXPECT_EQ(Legacy.EdgeCounts, Fast.EdgeCounts) << What;
 }
 
-void expectSameInBothModes(const Module &M, const std::string &What) {
-  RunResult L = simulateLegacy(M, rs6000(), RunOptions());
-  for (DispatchMode Mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-    RunOptions Opts;
-    Opts.Dispatch = Mode;
-    expectSame(L, simulate(M, rs6000(), Opts),
-               What + " [" + dispatchModeName(Mode) + "]");
-  }
+void expectSameAsLegacy(const Module &M, const std::string &What) {
+  expectSame(simulateLegacy(M, rs6000()), simulate(M, rs6000()), What);
 }
 
 /// One program that executes every opcode in the instruction set. The
@@ -140,7 +129,7 @@ TEST(SimDispatch, EveryOpcodeRunsIdenticallyInBothModes) {
 
   RunResult L = simulateLegacy(*M, rs6000(), RunOptions());
   ASSERT_FALSE(L.Trapped) << L.TrapMsg;
-  expectSameInBothModes(*M, "all-opcodes program");
+  expectSameAsLegacy(*M, "all-opcodes program");
 }
 
 TEST(SimDispatch, FusionRulesFireAndStayBitIdentical) {
@@ -157,43 +146,5 @@ TEST(SimDispatch, FusionRulesFireAndStayBitIdentical) {
   // and the engine (which fuses) agrees with legacy either way.
   SimImage Plain = predecode(*M, rs6000(), /*Fuse=*/false);
   EXPECT_EQ(Plain.FusedPairs, 0u);
-  expectSameInBothModes(*M, "fused program");
-}
-
-TEST(SimDispatch, ModeResolutionAndNames) {
-  // Pin the environment for the duration of the test, then restore it —
-  // CI legitimately runs whole test binaries under VSC_DISPATCH.
-  const char *Saved = std::getenv("VSC_DISPATCH");
-  std::string SavedVal = Saved ? Saved : "";
-  ::unsetenv("VSC_DISPATCH");
-
-  const bool Have = threadedDispatchAvailable();
-#if defined(VSC_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-  EXPECT_TRUE(Have);
-#else
-  EXPECT_FALSE(Have);
-#endif
-
-  DispatchMode Best = Have ? DispatchMode::Threaded : DispatchMode::Switch;
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Default), Best);
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Switch), DispatchMode::Switch);
-  // Threaded silently falls back when not compiled in.
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded), Best);
-
-  EXPECT_STREQ(dispatchModeName(DispatchMode::Switch), "switch");
-  EXPECT_STREQ(dispatchModeName(DispatchMode::Threaded),
-               Have ? "threaded" : "switch");
-
-  // VSC_DISPATCH steers Default only; explicit modes win.
-  ::setenv("VSC_DISPATCH", "switch", 1);
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Default), DispatchMode::Switch);
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Threaded), Best);
-  ::setenv("VSC_DISPATCH", "threaded", 1);
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Default), Best);
-  EXPECT_EQ(resolveDispatchMode(DispatchMode::Switch), DispatchMode::Switch);
-
-  if (Saved)
-    ::setenv("VSC_DISPATCH", SavedVal.c_str(), 1);
-  else
-    ::unsetenv("VSC_DISPATCH");
+  expectSameAsLegacy(*M, "fused program");
 }

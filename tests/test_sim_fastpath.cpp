@@ -214,8 +214,8 @@ TEST(SimFastpath, EngineRunsAreReproducible) {
 /// the taken edge is counted, and everything executed up to the trap point
 /// must be visible in the counter maps. A fast path that trapped before
 /// counting (or flushed counters on the trap path) would drop the final
-/// edge/block increments and silently skew profiling ground truth. Both
-/// compiled dispatch flavours must agree with legacy on the full maps.
+/// edge/block increments and silently skew profiling ground truth. The
+/// fast path must agree with legacy on the full maps.
 TEST(SimFastpath, UnresolvedBranchTrapCounterParity) {
   struct Case {
     const char *Name;
@@ -258,12 +258,6 @@ test:
     EXPECT_FALSE(L.BlockCounts.empty()) << C.Name;
     EXPECT_FALSE(L.EdgeCounts.empty()) << C.Name;
 
-    for (DispatchMode Mode : {DispatchMode::Switch, DispatchMode::Threaded}) {
-      RunOptions Opts;
-      Opts.Dispatch = Mode;
-      RunResult F = simulate(*M, rs6000(), Opts);
-      expectSame(L, F,
-                 std::string(C.Name) + " [" + dispatchModeName(Mode) + "]");
-    }
+    expectSame(L, simulate(*M, rs6000()), C.Name);
   }
 }
