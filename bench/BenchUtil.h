@@ -11,7 +11,6 @@
 #ifndef VSC_BENCH_BENCHUTIL_H
 #define VSC_BENCH_BENCHUTIL_H
 
-#include "profile/Counters.h"
 #include "sim/Simulator.h"
 #include "support/Json.h" // JsonWriter, for the BENCH_*.json emitters
 #include "vliw/Pipeline.h"
@@ -24,22 +23,12 @@
 
 namespace vsc {
 
-/// Builds workload \p W at \p L (optionally profile-guided with the
-/// workload's training input).
-inline std::unique_ptr<Module>
-buildAt(const Workload &W, OptLevel L, const MachineModel &Machine,
-        bool WithPdf = false, ProfileData *ProfileStorage = nullptr) {
+/// Builds workload \p W at \p L.
+inline std::unique_ptr<Module> buildAt(const Workload &W, OptLevel L,
+                                       const MachineModel &Machine) {
   auto M = buildWorkload(W);
   PipelineOptions Opts;
   Opts.Machine = Machine;
-  RunOptions TrainInput = workloadInput(W.TrainScale);
-  if (WithPdf) {
-    auto Train = buildWorkload(W);
-    assert(ProfileStorage && "PDF needs profile storage");
-    *ProfileStorage = collectProfile(*Train, *M, Machine, TrainInput);
-    Opts.Profile = ProfileStorage;
-    Opts.TrainInput = &TrainInput; // measured layout gate
-  }
   optimize(*M, L, Opts);
   return M;
 }

@@ -7,93 +7,17 @@
 /// block reordering, branch reversal), and measures on the reference
 /// input — all through the pdf/PdfExperiment.h driver.
 ///
-/// With --pdf-out=FILE it additionally times the whole six-kernel
-/// experiment end to end, pre-PR shape (rebuild + re-instrument the
-/// module per training input, string-keyed counters, serial) against the
-/// ProfileStore path (one build, one predecode, dense slots, batteries
-/// fanned over VSC_THREADS workers), and writes the comparison as JSON.
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "pdf/PdfExperiment.h"
-#include "support/ThreadPool.h"
-
-#include <chrono>
-#include <cstring>
+#include "profile/Counters.h"
 
 using namespace vsc;
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds(Clock::time_point T0, Clock::time_point T1) {
-  return std::chrono::duration<double>(T1 - T0).count();
-}
-
-std::vector<RunOptions> trainBattery(int64_t BaseScale) {
-  std::vector<RunOptions> Battery;
-  for (int64_t S = BaseScale - 2; S <= BaseScale + 5; ++S)
-    Battery.push_back(workloadInput(S < 1 ? 1 : S));
-  return Battery;
-}
-
-/// The pre-PR-5 experiment shape, reproduced faithfully: every training
-/// input rebuilds and re-instruments the module, profiles merge as
-/// string-keyed maps, the baseline is rebuilt too, and every simulation
-/// re-predecodes. Serial throughout. Faithfulness includes the old
-/// path's training runs on unprepared (prolog-less) modules, which
-/// misread the training argument on most kernels — the ProfileStore
-/// driver prepares a run-ready clone instead.
-uint64_t legacyExperiment(const Workload &W, const MachineModel &Machine,
-                          const std::vector<RunOptions> &Train) {
-  auto Target = buildWorkload(W);
-  ProfileData Profile;
-  for (const RunOptions &In : Train) {
-    auto TrainCopy = buildWorkload(W);
-    auto PlanCopy = buildWorkload(W); // throwaway plan target per input
-    ProfileData P = collectProfile(*TrainCopy, *PlanCopy, Machine, In);
-    for (const auto &[K, V] : P.BlockCount)
-      Profile.BlockCount[K] += V;
-    for (const auto &[K, V] : P.EdgeCount)
-      Profile.EdgeCount[K] += V;
-  }
-  for (auto &F : Target->functions())
-    planCounters(*F); // the surgery collectProfile applied to its target
-  PipelineOptions Guided;
-  Guided.Machine = Machine;
-  Guided.Profile = &Profile;
-  Guided.TrainInput = &Train.front();
-  optimize(*Target, OptLevel::Vliw, Guided);
-
-  auto Baseline = buildWorkload(W);
-  optimize(*Baseline, OptLevel::Vliw);
-
-  RunResult RB = simulate(*Baseline, Machine, workloadInput(W.RefScale));
-  RunResult RG = simulate(*Target, Machine, workloadInput(W.RefScale));
-  checkSame(RB, RG, W.Name.c_str());
-  return RB.Cycles + RG.Cycles;
-}
-
-} // namespace
-
-static void BM_PdfCollectLegacy(benchmark::State &State) {
-  const Workload &W = specWorkloads()[2]; // eqntott
-  for (auto _ : State) {
-    auto Train = buildWorkload(W);
-    auto Target = buildWorkload(W);
-    ProfileData P = collectProfile(*Train, *Target, rs6000(),
-                                   workloadInput(W.TrainScale));
-    benchmark::DoNotOptimize(P.BlockCount.size());
-  }
-  State.SetLabel("collect-profile(eqntott), rebuild per run");
-}
-BENCHMARK(BM_PdfCollectLegacy)->Unit(benchmark::kMillisecond);
-
 static void BM_PdfCollectDense(benchmark::State &State) {
   const Workload &W = specWorkloads()[2];
-  auto M = buildWorkload(W);
+  auto M = prepareForTraining(*buildWorkload(W));
   SimEngine Engine(*M, rs6000());
   std::vector<RunOptions> Train = {workloadInput(W.TrainScale)};
   for (auto _ : State) {
@@ -105,16 +29,6 @@ static void BM_PdfCollectDense(benchmark::State &State) {
 BENCHMARK(BM_PdfCollectDense)->Unit(benchmark::kMillisecond);
 
 int main(int Argc, char **Argv) {
-  std::string OutPath;
-  std::vector<char *> Rest;
-  for (int I = 0; I != Argc; ++I) {
-    if (std::strncmp(Argv[I], "--pdf-out=", 10) == 0)
-      OutPath = Argv[I] + 10;
-    else
-      Rest.push_back(Argv[I]);
-  }
-  int RestArgc = static_cast<int>(Rest.size());
-
   MachineModel Machine = rs6000();
   std::printf("Profile-directed feedback gain (train on short input, "
               "measure on reference input)\n");
@@ -142,83 +56,5 @@ int main(int Argc, char **Argv) {
   std::printf("%-10s %12s %12s %8.1f%%   (paper: +4-5%% on the SPEC six; "
               "table includes the irregular kernels)\n\n",
               "geomean", "", "", (geomean(Gains) - 1.0) * 100.0);
-
-  if (!OutPath.empty()) {
-    unsigned Threads = ThreadPool::defaultThreadCount();
-    std::printf("End-to-end experiment: pre-PR path (rebuild per training "
-                "input, serial) vs ProfileStore (VSC_THREADS=%u)\n",
-                Threads);
-    std::printf("%-10s %12s %12s %9s\n", "Benchmark", "legacy(ms)",
-                "store(ms)", "speedup");
-    JsonWriter Json;
-    Json.beginObject()
-        .key("bench")
-        .str("pdf")
-        .key("threads")
-        .num(Threads)
-        .key("kernels")
-        .beginArray();
-    double LegacyTotal = 0, StoreTotal = 0;
-    const auto &Ws = specWorkloads();
-    for (size_t I = 0; I != Ws.size(); ++I) {
-      const Workload &W = Ws[I];
-      std::vector<RunOptions> Train = trainBattery(W.TrainScale);
-
-      auto T0 = Clock::now();
-      uint64_t LegacyCycles = legacyExperiment(W, Machine, Train);
-      auto T1 = Clock::now();
-
-      auto Source = buildWorkload(W);
-      PdfExperimentOptions Opts;
-      Opts.Machine = Machine;
-      Opts.Train = Train;
-      Opts.Test = {workloadInput(W.RefScale)};
-      Opts.ProfileSource = PdfExperimentOptions::Source::Exact;
-      Opts.GateOnBattery = false; // match the legacy single-input gate
-      auto T2 = Clock::now();
-      PdfExperimentResult R = runPdfExperiment(*Source, Opts);
-      auto T3 = Clock::now();
-      if (!R.ok()) {
-        std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), R.Error.c_str());
-        std::abort();
-      }
-      benchmark::DoNotOptimize(LegacyCycles);
-
-      double Legacy = seconds(T0, T1), Store = seconds(T2, T3);
-      LegacyTotal += Legacy;
-      StoreTotal += Store;
-      std::printf("%-10s %12.1f %12.1f %8.2fx\n", W.Name.c_str(),
-                  Legacy * 1e3, Store * 1e3, Legacy / Store);
-      Json.beginObject()
-          .key("name")
-          .str(W.Name)
-          .key("legacy_seconds")
-          .num(Legacy, 6)
-          .key("store_seconds")
-          .num(Store, 6)
-          .key("speedup")
-          .num(Legacy / Store, 3)
-          .endObject();
-    }
-    double Speedup = LegacyTotal / StoreTotal;
-    std::printf("%-10s %12.1f %12.1f %8.2fx\n\n", "total",
-                LegacyTotal * 1e3, StoreTotal * 1e3, Speedup);
-    Json.endArray()
-        .key("legacy_seconds")
-        .num(LegacyTotal, 6)
-        .key("store_seconds")
-        .num(StoreTotal, 6)
-        .key("speedup")
-        .num(Speedup, 3)
-        .endObject();
-    if (FILE *F = std::fopen(OutPath.c_str(), "w")) {
-      std::fputs(Json.take().c_str(), F);
-      std::fclose(F);
-      std::printf("wrote %s\n\n", OutPath.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", OutPath.c_str());
-    }
-  }
-
-  return runRegisteredBenchmarks(RestArgc, Rest.data());
+  return runRegisteredBenchmarks(Argc, Argv);
 }

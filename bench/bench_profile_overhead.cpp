@@ -10,12 +10,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "profile/Counters.h"
 
 using namespace vsc;
 
 static void BM_InstrumentedRun(benchmark::State &State) {
   const Workload &W = specWorkloads()[2];
-  auto M = buildWorkload(W);
+  auto M = prepareForTraining(*buildWorkload(W));
   instrumentModule(*M, /*HoistCounters=*/true);
   SimEngine Engine(*M, rs6000()); // predecode once, like ProfileCollector
   for (auto _ : State) {

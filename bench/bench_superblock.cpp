@@ -10,22 +10,43 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-
-#include "profile/Superblock.h"
+#include "pdf/PdfExperiment.h"
 
 using namespace vsc;
 
+namespace {
+
+/// The counter-scheme PDF experiment on \p W: train on the short input,
+/// measure on the reference input.
+PdfExperimentResult experiment(const Workload &W, const MachineModel &Machine,
+                               bool Superblocks) {
+  auto Source = buildWorkload(W);
+  PdfExperimentOptions Opts;
+  Opts.Machine = Machine;
+  Opts.Train = {workloadInput(W.TrainScale)};
+  Opts.Test = {workloadInput(W.RefScale)};
+  Opts.Superblocks = Superblocks;
+  PdfExperimentResult R = runPdfExperiment(*Source, Opts);
+  if (!R.ok()) {
+    std::fprintf(stderr, "%s: %s\n", W.Name.c_str(), R.Error.c_str());
+    std::abort();
+  }
+  return R;
+}
+
+} // namespace
+
 static void BM_SuperblockCompile(benchmark::State &State) {
   const Workload &W = specWorkloads()[2];
+  PdfExperimentOptions Opts;
+  Opts.Train = {workloadInput(W.TrainScale)};
   for (auto _ : State) {
-    auto Train = buildWorkload(W);
     auto M = buildWorkload(W);
-    ProfileData P = collectProfile(*Train, *M, rs6000(),
-                                   workloadInput(W.TrainScale));
-    PipelineOptions Opts;
-    Opts.Profile = &P;
-    Opts.Superblocks = true;
-    optimize(*M, OptLevel::Vliw, Opts);
+    PdfFeedback F = collectPdfFeedback(*M, Opts, M.get());
+    PipelineOptions PO;
+    PO.Profile = &F.Feedback;
+    PO.Superblocks = true;
+    optimize(*M, OptLevel::Vliw, PO);
     benchmark::DoNotOptimize(M->instrCount());
   }
   State.SetLabel("eqntott");
@@ -40,42 +61,17 @@ int main(int Argc, char **Argv) {
               "vliw+pdf", "+superblock", "sb-gain", "sb-size");
   std::vector<double> Gains;
   for (const Workload &W : specWorkloads()) {
-    auto Plain = buildAt(W, OptLevel::Vliw, Machine);
-    RunResult RP = runRef(*Plain, W, Machine);
-
-    RunOptions TrainInput = workloadInput(W.TrainScale);
-    auto TrainA = buildWorkload(W);
-    auto Pdf = buildWorkload(W);
-    ProfileData P1 = collectProfile(*TrainA, *Pdf, Machine, TrainInput);
-    PipelineOptions OptsPdf;
-    OptsPdf.Machine = Machine;
-    OptsPdf.Profile = &P1;
-    OptsPdf.TrainInput = &TrainInput;
-    optimize(*Pdf, OptLevel::Vliw, OptsPdf);
-    RunResult RPdf = runRef(*Pdf, W, Machine);
-    checkSame(RP, RPdf, W.Name.c_str());
-
-    auto TrainB = buildWorkload(W);
-    auto Sb = buildWorkload(W);
-    ProfileData P2 = collectProfile(*TrainB, *Sb, Machine, TrainInput);
-    PipelineOptions OptsSb;
-    OptsSb.Machine = Machine;
-    OptsSb.Profile = &P2;
-    OptsSb.TrainInput = &TrainInput;
-    OptsSb.Superblocks = true;
-    optimize(*Sb, OptLevel::Vliw, OptsSb);
-    RunResult RSb = runRef(*Sb, W, Machine);
-    checkSame(RP, RSb, W.Name.c_str());
-
-    double Gain = static_cast<double>(RPdf.Cycles) /
-                  static_cast<double>(RSb.Cycles);
+    PdfExperimentResult Pdf = experiment(W, Machine, false);
+    PdfExperimentResult Sb = experiment(W, Machine, true);
+    double Gain = static_cast<double>(Pdf.GuidedCycles) /
+                  static_cast<double>(Sb.GuidedCycles);
     Gains.push_back(Gain);
     std::printf("%-10s %12llu %12llu %12llu %9.1f%% %10zu\n",
                 W.Name.c_str(),
-                static_cast<unsigned long long>(RP.Cycles),
-                static_cast<unsigned long long>(RPdf.Cycles),
-                static_cast<unsigned long long>(RSb.Cycles),
-                (Gain - 1.0) * 100.0, Sb->instrCount());
+                static_cast<unsigned long long>(Pdf.BaselineCycles),
+                static_cast<unsigned long long>(Pdf.GuidedCycles),
+                static_cast<unsigned long long>(Sb.GuidedCycles),
+                (Gain - 1.0) * 100.0, Sb.Guided->instrCount());
   }
   std::printf("%-10s %12s %12s %12s %9.1f%%\n", "geomean", "", "", "",
               (geomean(Gains) - 1.0) * 100.0);

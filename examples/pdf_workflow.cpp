@@ -43,10 +43,6 @@ static int usage() {
   return 2;
 }
 
-static const char *gateName(int Kept) {
-  return Kept < 0 ? "unconditional" : Kept ? "kept" : "rolled-back";
-}
-
 int main(int Argc, char **Argv) {
   std::string WorkloadName = "eqntott";
   std::string SavePath, EmitSource;
@@ -119,18 +115,10 @@ int main(int Argc, char **Argv) {
   Opts.ProfileSource = Counters ? PdfExperimentOptions::Source::Counters
                                 : PdfExperimentOptions::Source::Exact;
   if (!LoadPaths.empty()) {
-    for (size_t I = 0; I != LoadPaths.size(); ++I) {
-      DenseProfile One;
-      std::string Err = DenseProfile::loadFile(LoadPaths[I], One);
-      if (Err.empty() && I)
-        Err = Loaded.merge(One);
-      else if (Err.empty())
-        Loaded = std::move(One);
-      if (!Err.empty()) {
-        std::fprintf(stderr, "%s: %s\n", LoadPaths[I].c_str(),
-                     Err.c_str());
-        return 1;
-      }
+    std::string Err = loadProfiles(LoadPaths, Loaded);
+    if (!Err.empty()) {
+      std::fprintf(stderr, "%s\n", Err.c_str());
+      return 1;
     }
     Opts.LoadedProfile = &Loaded;
     std::printf("pass 1: skipped — loaded profile from %zu file(s)\n",
@@ -151,30 +139,18 @@ int main(int Argc, char **Argv) {
   std::printf("pass 2: profile carries %zu block counts and %zu edge "
               "counts\n",
               R.Feedback.BlockCount.size(), R.Feedback.EdgeCount.size());
-  std::printf("pdf-layout: %s\n", gateName(R.PdfLayoutKept));
+  std::printf("pdf-layout: %s\n", pdfLayoutName(R.PdfLayoutKept));
 
   if (!SavePath.empty()) {
-    DenseProfile ToSave = R.Profile;
-    if (Merge) {
-      DenseProfile Old;
-      std::string Err = DenseProfile::loadFile(SavePath, Old);
-      if (Err.empty())
-        Err = Old.merge(ToSave);
-      if (Err.empty())
-        ToSave = std::move(Old);
-      else if (Err.rfind("cannot open", 0) != 0) {
-        std::fprintf(stderr, "%s: %s\n", SavePath.c_str(), Err.c_str());
-        return 1;
-      }
-    }
-    std::string Err = ToSave.saveFile(SavePath);
+    std::string Err = saveProfile(R.Profile, SavePath, Merge);
     if (!Err.empty()) {
       std::fprintf(stderr, "%s\n", Err.c_str());
       return 1;
     }
+    // A merge requires equal slot tables, so these are the file's too.
     std::printf("saved profile to %s (%zu block slots, %zu edge slots)\n",
-                SavePath.c_str(), ToSave.BlockCounts.size(),
-                ToSave.EdgeCounts.size());
+                SavePath.c_str(), R.Profile.BlockCounts.size(),
+                R.Profile.EdgeCounts.size());
   }
 
   std::printf("\nreference input: vliw %llu cycles, vliw+pdf %llu cycles "

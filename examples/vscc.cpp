@@ -6,7 +6,8 @@
 ///   example_vscc FILE.c [options] [-- args...]
 ///     -O0 | -O2 | -O3      optimization level (none/classical/vliw; -O3)
 ///     --machine=NAME       rs6000 (default), power2, ppc601
-///     --pdf                profile on the same inputs first, then apply
+///     --pdf                profile on the same inputs first (the
+///                          paper's two-pass counter scheme), then apply
 ///                          profile-directed feedback
 ///     --save-profile=FILE  record an exact dense profile of the program
 ///                          on the given args and persist it (pdf/
@@ -32,13 +33,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "audit/PassAudit.h" // cloneModule
 #include "frontend/Frontend.h"
 #include "ir/Printer.h"
-#include "pdf/ProfileStore.h"
-#include "profile/Counters.h"
-#include "sim/Simulator.h"
-#include "vliw/Pipeline.h"
+#include "pdf/PdfExperiment.h"
 
 #include <cstdio>
 #include <cstring>
@@ -181,76 +178,49 @@ int main(int Argc, char **Argv) {
   Opts.ExactPipelining = ExactMode;
   PipelineStats PStats;
   Opts.Stats = &PStats;
-  ProfileData Profile;
-  RunOptions TrainOpts;
-  TrainOpts.Args = Args;
+  // Every profile mode trains on (and gates the layout with) the run args.
+  PdfExperimentOptions PO;
+  PO.Machine = Machine;
+  PO.Threads = Threads;
+  PO.Train.resize(1);
+  PO.Train.front().Args = Args;
 
   // Exact dense profile of the program on the run args; with --merge an
-  // existing file accumulates across processes. Recorded from a run-ready
-  // clone (prolog insertion only — the raw module would misread its
-  // arguments); the CFG fingerprint is invariant under that preparation.
+  // existing file accumulates across processes.
   if (!SaveProfile.empty()) {
-    auto Prepared = cloneModule(*Compiled.M);
-    optimize(*Prepared, OptLevel::None);
-    SimEngine Engine(*Prepared, Machine);
-    std::string Err;
-    DenseProfile P =
-        collectDenseProfile(Engine, {TrainOpts}, Threads, &Err);
-    if (!Err.empty()) {
-      std::fprintf(stderr, "profile collection: %s\n", Err.c_str());
+    PO.ProfileSource = PdfExperimentOptions::Source::Exact;
+    PdfFeedback F = collectPdfFeedback(*Compiled.M, PO, nullptr);
+    if (!F.ok()) {
+      std::fprintf(stderr, "profile collection: %s\n", F.Error.c_str());
       return 1;
     }
-    if (Merge) {
-      DenseProfile Old;
-      std::string LoadErr = DenseProfile::loadFile(SaveProfile, Old);
-      if (LoadErr.empty()) {
-        if (!(Err = Old.merge(P)).empty()) {
-          std::fprintf(stderr, "%s: %s\n", SaveProfile.c_str(),
-                       Err.c_str());
-          return 1;
-        }
-        P = std::move(Old);
-      } else if (LoadErr.rfind("cannot open", 0) != 0) {
-        std::fprintf(stderr, "%s: %s\n", SaveProfile.c_str(),
-                     LoadErr.c_str());
-        return 1;
-      }
-    }
-    if (!(Err = P.saveFile(SaveProfile)).empty()) {
+    std::string Err = saveProfile(F.Profile, SaveProfile, Merge);
+    if (!Err.empty()) {
       std::fprintf(stderr, "%s\n", Err.c_str());
       return 1;
     }
   }
 
   DenseProfile Loaded;
-  if (!LoadProfiles.empty()) {
-    for (size_t I = 0; I != LoadProfiles.size(); ++I) {
-      DenseProfile One;
-      std::string Err = DenseProfile::loadFile(LoadProfiles[I], One);
-      if (Err.empty() && I)
-        Err = Loaded.merge(One);
-      else if (Err.empty())
-        Loaded = std::move(One);
+  ProfileData Profile;
+  if (Pdf || !LoadProfiles.empty()) {
+    if (!LoadProfiles.empty()) {
+      std::string Err = loadProfiles(LoadProfiles, Loaded);
       if (!Err.empty()) {
-        std::fprintf(stderr, "%s: %s\n", LoadProfiles[I].c_str(),
-                     Err.c_str());
+        std::fprintf(stderr, "%s\n", Err.c_str());
         return 1;
       }
+      PO.LoadedProfile = &Loaded;
     }
-    std::string Stale = Loaded.validateFor(*Compiled.M);
-    if (!Stale.empty()) {
-      std::fprintf(stderr, "%s\n", Stale.c_str());
+    PO.ProfileSource = PdfExperimentOptions::Source::Counters;
+    PdfFeedback F = collectPdfFeedback(*Compiled.M, PO, Compiled.M.get());
+    if (!F.ok()) {
+      std::fprintf(stderr, "%s\n", F.Error.c_str());
       return 1;
     }
-    Profile = Loaded.toProfileData();
+    Profile = std::move(F.Feedback);
     Opts.Profile = &Profile;
-    Opts.TrainInput = &TrainOpts; // measured layout gate
-  }
-  if (Pdf) {
-    CompileResult Train = compileMiniC(Source, FeOpts);
-    Profile = collectProfile(*Train.M, *Compiled.M, Machine, TrainOpts);
-    Opts.Profile = &Profile;
-    Opts.TrainInput = &TrainOpts; // measured layout gate
+    Opts.TrainBattery = &PO.Train; // measured layout gate
   }
   optimize(*Compiled.M, Level, Opts);
   if (ExactMode != ExactPipelineMode::Off) {
@@ -265,9 +235,7 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.Profile)
     std::fprintf(stderr, "pdf-layout: %s\n",
-                 PStats.PdfLayoutKept < 0 ? "unconditional"
-                 : PStats.PdfLayoutKept  ? "kept"
-                                         : "rolled-back");
+                 pdfLayoutName(PStats.PdfLayoutKept));
 
   if (EmitIr) {
     std::fputs(printModule(*Compiled.M).c_str(), stdout);

@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
 # Benchmark entry point: build the default configuration and run the
-# oracle-overhead, compile-time, simulator and PDF benchmarks, leaving
-# google-benchmark JSON at the repo root as BENCH_oracle.json plus the
-# parallel-driver thread sweep as BENCH_compile_parallel.json, the
-# legacy-vs-predecoded simulator comparison as BENCH_sim.json, the
-# legacy-vs-ProfileStore PDF experiment comparison as BENCH_pdf.json, the
-# syntactic-vs-flow-sensitive disambiguation-rate and cycle table as
-# BENCH_alias.json, the exact-pipelining optimality-gap table (per-loop
-# achieved-II vs min-II vs exact-II over every kernel x machine) as
-# BENCH_pipelining.json, and the full per-kernel measurement matrix (every
-# registered kernel x O0/Classical/Vliw x three machine models, with and
-# without PDF) as BENCH_workloads.json, and the compile-service cold-vs-
-# warm-cache throughput with per-class hit rates as BENCH_service.json
-# (human-readable tables go to stdout).
+# oracle-overhead, compile-time, simulator, alias, pipelining, workload and
+# service benchmarks, leaving google-benchmark JSON at the repo root as
+# BENCH_oracle.json plus the parallel-driver thread sweep as
+# BENCH_compile_parallel.json, the legacy-vs-predecoded simulator
+# comparison as BENCH_sim.json, the syntactic-vs-flow-sensitive
+# disambiguation-rate and cycle table as BENCH_alias.json, the
+# exact-pipelining optimality-gap table (per-loop achieved-II vs min-II vs
+# exact-II over every kernel x machine) as BENCH_pipelining.json, the full
+# per-kernel measurement matrix (every registered kernel x
+# O0/Classical/Vliw x three machine models, with and without PDF) as
+# BENCH_workloads.json, and the compile-service cold-vs-warm-cache
+# throughput with per-class hit rates as BENCH_service.json
+# (human-readable tables go to stdout). The PDF gain table
+# (bench_pdf_gain) prints to stdout only and is not run here.
 #
 #   scripts/bench.sh [JOBS]
 set -euo pipefail
@@ -23,7 +24,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$JOBS" \
   --target bench_oracle_overhead --target bench_compile_time \
-  --target bench_sim --target bench_pdf_gain --target bench_alias \
+  --target bench_sim --target bench_alias \
   --target bench_pipelining --target bench_workloads --target bench_service
 
 "$ROOT/build/bench/bench_oracle_overhead" \
@@ -36,11 +37,6 @@ cmake --build "$ROOT/build" -j "$JOBS" \
 
 "$ROOT/build/bench/bench_sim" \
   --sim-out="$ROOT/BENCH_sim.json" \
-  --benchmark_filter='^$'
-
-# End-to-end PDF experiment, pre-PR shape vs ProfileStore, at 4 workers.
-VSC_THREADS=4 "$ROOT/build/bench/bench_pdf_gain" \
-  --pdf-out="$ROOT/BENCH_pdf.json" \
   --benchmark_filter='^$'
 
 # Disambiguation-rate table: syntactic vs flow-sensitive tier, annotated
@@ -73,7 +69,6 @@ VSC_THREADS=4 "$ROOT/build/bench/bench_pdf_gain" \
 echo "wrote $ROOT/BENCH_oracle.json"
 echo "wrote $ROOT/BENCH_compile_parallel.json"
 echo "wrote $ROOT/BENCH_sim.json"
-echo "wrote $ROOT/BENCH_pdf.json"
 echo "wrote $ROOT/BENCH_alias.json"
 echo "wrote $ROOT/BENCH_pipelining.json"
 echo "wrote $ROOT/BENCH_workloads.json"

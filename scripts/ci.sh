@@ -72,8 +72,10 @@ run_config() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
     -R 'Fastpath|SimFastpath|SimDispatch|Oracle|TimingDifferential'
   # ProfileStore + PDF experiment driver: persistence round-trips, dense
-  # parity with the string-keyed path, and thread-count invariance of
-  # the whole experiment (run at both counts like the main suite).
+  # counts against the simulator's ground truth, the counter scheme
+  # against the exact counts on every kernel, the measured layout gate,
+  # and thread-count invariance of the whole experiment (run at both
+  # counts like the main suite).
   for threads in 1 4; do
     echo "=== [$name] pdf suite, VSC_THREADS=$threads ==="
     VSC_THREADS="$threads" \
@@ -119,6 +121,31 @@ run_config() {
   fi
   echo "handoff agreed: $decision_a"
   rm -rf "$tmp"
+  # vscc --pdf trains the two-pass counter scheme on its run args. Given a
+  # kernel's training scale it must reach the same measured layout
+  # decision as pdf_workflow's counter-scheme experiment, which trains and
+  # gates on that scale. gcc reads its scale argument, so training on a
+  # prolog-less module would profile a garbage scale.
+  local kernel scale
+  for kernel in eqntott gcc; do
+    echo "=== [$name] vscc --pdf vs pdf_workflow --counters on $kernel ==="
+    tmp="$(mktemp -d)"
+    "$dir/examples/example_pdf_workflow" --workload="$kernel" --counters \
+      --emit-source="$tmp/$kernel.c" > "$tmp/workflow.out"
+    decision_a="$(grep '^pdf-layout:' "$tmp/workflow.out")"
+    scale="$(sed -n 's/^pass 1: .*(scale \([0-9]*\))$/\1/p' "$tmp/workflow.out")"
+    "$dir/examples/example_vscc" "$tmp/$kernel.c" -O3 --pdf -- "$scale" \
+      > /dev/null 2> "$tmp/vscc.err"
+    decision_b="$(grep '^pdf-layout:' "$tmp/vscc.err")"
+    if [ -z "$scale" ] || [ "$decision_a" != "$decision_b" ]; then
+      echo "vscc --pdf diverged from pdf_workflow --counters on $kernel:" >&2
+      echo "  pdf_workflow: $decision_a (scale '$scale')" >&2
+      echo "  vscc:         $decision_b" >&2
+      exit 1
+    fi
+    echo "vscc --pdf agreed on $kernel (scale $scale): $decision_a"
+    rm -rf "$tmp"
+  done
   # Cross-process artifact handoff through the compile service: one vscd
   # process persists a profile, a second feeds it back into a guided
   # compile (response bytes must agree at --threads=1 and 4), and vscc

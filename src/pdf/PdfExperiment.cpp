@@ -7,19 +7,6 @@
 
 using namespace vsc;
 
-std::unique_ptr<Module> vsc::prepareForTraining(const Module &Source) {
-  // Training runs need a run-ready module: the raw frontend output has no
-  // prologs, so an argument-taking entry reads its parameters from unwired
-  // stack slots and trains on a garbage input (the pre-PR collectProfile
-  // path did exactly that). Prepare a clone at OptLevel::None — prolog
-  // insertion only; the CFG fingerprint is invariant under preparation
-  // (tests/test_pdf_store.cpp), so the profile still attaches to the raw
-  // source module.
-  auto Prepared = cloneModule(Source);
-  optimize(*Prepared, OptLevel::None);
-  return Prepared;
-}
-
 PdfFeedback vsc::collectPdfFeedback(const Module &Source,
                                     const PdfExperimentOptions &Opt,
                                     Module *CounterTarget) {
@@ -36,14 +23,14 @@ PdfFeedback vsc::collectPdfFeedback(const Module &Source,
     F.Feedback = F.Profile.toProfileData();
     return F;
   }
-  auto Prepared = prepareForTraining(Source);
   if (Opt.ProfileSource == PdfExperimentOptions::Source::Exact) {
+    auto Prepared = prepareForTraining(Source);
     SimEngine Engine(*Prepared, Opt.Machine);
     F.Profile = collectDenseProfile(Engine, Opt.Train, Opt.Threads, &F.Error);
     if (F.Error.empty())
       F.Feedback = F.Profile.toProfileData();
   } else {
-    ProfileCollector Collector(*Prepared, Opt.Machine);
+    ProfileCollector Collector(Source, Opt.Machine);
     F.Feedback =
         Collector.profileFor(*CounterTarget, Opt.Train, Opt.Threads, &F.Error);
   }
@@ -54,7 +41,7 @@ void vsc::pdfBaselineCompile(Module &Target, const PdfExperimentOptions &Opt) {
   PipelineOptions Base;
   Base.Machine = Opt.Machine;
   Base.Threads = Opt.Threads;
-  optimize(Target, Opt.Level, Base);
+  optimize(Target, OptLevel::Vliw, Base);
 }
 
 int vsc::pdfGuidedCompile(Module &Target, const ProfileData &Feedback,
@@ -64,15 +51,10 @@ int vsc::pdfGuidedCompile(Module &Target, const ProfileData &Feedback,
   Guided.Threads = Opt.Threads;
   Guided.Profile = &Feedback;
   Guided.Superblocks = Opt.Superblocks;
-  std::vector<RunOptions> GateFront;
-  if (Opt.MeasuredGate && !Opt.Train.empty()) {
-    if (!Opt.GateOnBattery)
-      GateFront = {Opt.Train.front()};
-    Guided.TrainBattery = Opt.GateOnBattery ? &Opt.Train : &GateFront;
-  }
+  Guided.TrainBattery = &Opt.Train;
   PipelineStats Stats;
   Guided.Stats = &Stats;
-  optimize(Target, Opt.Level, Guided);
+  optimize(Target, OptLevel::Vliw, Guided);
   return Stats.PdfLayoutKept;
 }
 

@@ -16,8 +16,8 @@
 ///    heuristic, superblock formation when asked, and the measured layout
 ///    gate over the whole training battery).
 ///
-/// bench_pdf_gain, bench_profile_overhead and examples/pdf_workflow.cpp
-/// are all built on this driver.
+/// bench_pdf_gain, bench_superblock, examples/pdf_workflow.cpp and
+/// examples/vscc.cpp are all built on this driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +39,9 @@ struct PdfExperimentOptions {
   /// VSC_THREADS.
   unsigned Threads = 0;
   /// Where the feedback profile comes from:
-  ///  * Counters — the paper's low-overhead two-pass scheme: instrument a
-  ///    clone once (profile/Counters.h ProfileCollector), run the training
-  ///    battery, infer every count.
+  ///  * Counters — the paper's low-overhead two-pass scheme: prepare and
+  ///    instrument a clone once (profile/Counters.h ProfileCollector), run
+  ///    the training battery, infer every count.
   ///  * Exact — the simulator's ground-truth dense counters, recorded
   ///    straight from SimEngine's interned slots (pdf/ProfileStore.h).
   enum class Source { Counters, Exact };
@@ -50,15 +50,8 @@ struct PdfExperimentOptions {
   /// precedence over ProfileSource). Validated against the source module's
   /// CFG fingerprint; a stale profile fails the experiment.
   const DenseProfile *LoadedProfile = nullptr;
-  /// Gate the layout applications on measured training cycles.
-  bool MeasuredGate = true;
-  /// Measure the gate over the whole training battery (the default) or
-  /// over its first input only — the pre-PR single-input semantics, and
-  /// much cheaper when training inputs are large.
-  bool GateOnBattery = true;
   /// Trace-scheduling-style superblock formation in the guided compile.
   bool Superblocks = false;
-  OptLevel Level = OptLevel::Vliw;
 };
 
 struct PdfExperimentResult {
@@ -104,13 +97,6 @@ PdfExperimentResult runPdfExperiment(const Module &Source,
 // a baseline compiled for one request serves every later request with the
 // same (module, options, machine) key.
 
-/// Stage: a run-ready clone of \p Source for training (prolog insertion
-/// only — the raw frontend output would misread its arguments; see the
-/// comment in collectPdfFeedback's implementation). The CFG fingerprint
-/// is invariant under this preparation, so profiles collected from the
-/// prepared clone still attach to \p Source.
-std::unique_ptr<Module> prepareForTraining(const Module &Source);
-
 /// What the feedback stage produces.
 struct PdfFeedback {
   /// Non-empty when collection failed (stale profile, trapping run).
@@ -123,23 +109,27 @@ struct PdfFeedback {
   bool ok() const { return Error.empty(); }
 };
 
-/// Stage (train): collect or validate the feedback profile. The counter
-/// scheme (Source::Counters) applies the pass-1-identical planCounters
-/// surgery to \p CounterTarget — the module the guided compile will run
-/// on — so that path mutates it; Exact and LoadedProfile leave it alone
-/// (it may then be null).
+/// Stage (train): collect or validate the feedback profile. \p Source is
+/// the raw frontend module; every training run executes a run-ready clone
+/// of it (profile/Counters.h prepareForTraining). The counter scheme
+/// (Source::Counters) applies the pass-1-identical planCounters surgery to
+/// \p CounterTarget — the module the guided compile will run on — so that
+/// path mutates it; Exact and LoadedProfile leave it alone (it may then be
+/// null). \p Source is cloned before \p CounterTarget is touched, so the
+/// two may be the same module.
 PdfFeedback collectPdfFeedback(const Module &Source,
                                const PdfExperimentOptions &Opt,
                                Module *CounterTarget);
 
-/// Stage (baseline): plain optimize at Opt.Level/Machine/Threads —
-/// byte-identical to a profile-less compile of the same module, which is
-/// exactly why the service can satisfy it from the compile-artifact cache.
+/// Stage (baseline): plain optimize at OptLevel::Vliw with Opt.Machine and
+/// Opt.Threads — byte-identical to a profile-less compile of the same
+/// module, which is exactly why the service can satisfy it from the
+/// compile-artifact cache.
 void pdfBaselineCompile(Module &Target, const PdfExperimentOptions &Opt);
 
-/// Stage (guided): optimize \p Target with \p Feedback attached and the
-/// measured layout gate configured per Opt. \returns the gate decision
-/// (PipelineStats::PdfLayoutKept).
+/// Stage (guided): optimize \p Target at OptLevel::Vliw with \p Feedback
+/// attached, the layout gate measured over the whole training battery
+/// Opt.Train. \returns the gate decision (PipelineStats::PdfLayoutKept).
 int pdfGuidedCompile(Module &Target, const ProfileData &Feedback,
                      const PdfExperimentOptions &Opt);
 

@@ -2,7 +2,7 @@
 
 #include "pdf/ProfileStore.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -174,17 +174,6 @@ std::string DenseProfile::merge(const DenseProfile &O) {
   return "";
 }
 
-void DenseProfile::scale(double Factor) {
-  auto Scale = [Factor](uint64_t C) {
-    double V = static_cast<double>(C) * Factor;
-    return V <= 0 ? 0 : static_cast<uint64_t>(std::llround(V));
-  };
-  for (uint64_t &C : BlockCounts)
-    C = Scale(C);
-  for (uint64_t &C : EdgeCounts)
-    C = Scale(C);
-}
-
 ProfileData DenseProfile::toProfileData() const {
   ProfileData P;
   for (size_t I = 0; I != BlockCounts.size(); ++I)
@@ -295,6 +284,36 @@ std::string DenseProfile::loadFile(const std::string &Path,
   if (In.bad())
     return "read from '" + Path + "' failed";
   return deserialize(Bytes.data(), Bytes.size(), Out);
+}
+
+std::string vsc::loadProfiles(const std::vector<std::string> &Paths,
+                              DenseProfile &Out) {
+  for (size_t I = 0; I != Paths.size(); ++I) {
+    DenseProfile One;
+    std::string Err = DenseProfile::loadFile(Paths[I], One);
+    if (Err.empty() && I)
+      Err = Out.merge(One);
+    else if (Err.empty())
+      Out = std::move(One);
+    if (!Err.empty())
+      return Paths[I] + ": " + Err;
+  }
+  return "";
+}
+
+std::string vsc::saveProfile(const DenseProfile &P, const std::string &Path,
+                             bool Merge) {
+  if (Merge) {
+    DenseProfile Old;
+    std::string Err = DenseProfile::loadFile(Path, Old);
+    if (Err.empty())
+      Err = Old.merge(P);
+    if (Err.empty())
+      return Old.saveFile(Path);
+    if (Err.rfind("cannot open", 0) != 0)
+      return Path + ": " + Err;
+  }
+  return P.saveFile(Path);
 }
 
 DenseProfile vsc::collectDenseProfile(SimEngine &Engine,

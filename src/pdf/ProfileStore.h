@@ -22,7 +22,8 @@
 ///
 ///  * Accumulation — merge() adds two profiles of the same CFG
 ///    (associative and commutative, so multi-input training runs can
-///    accumulate in any grouping), scale() reweights one.
+///    accumulate in any grouping); loadProfiles() and saveProfile() are
+///    the merge-aware file handoff the command-line tools share.
 ///
 /// The CFG fingerprint hashes exactly the interned profiling-key sequence
 /// the predecoder builds (blocks in layout order, fallthrough and taken
@@ -83,10 +84,6 @@ public:
   /// diagnostic (CFG fingerprint or shape mismatch; counts untouched).
   std::string merge(const DenseProfile &O);
 
-  /// Multiplies every count by \p Factor, rounding to nearest (training
-  /// inputs of different lengths can be weighted before merging).
-  void scale(double Factor);
-
   /// Thin adapter for ProfileData consumers: materializes the string-keyed
   /// maps once per profile (summing slots that intern the same key)
   /// instead of once per simulation run.
@@ -112,6 +109,19 @@ public:
   std::string saveFile(const std::string &Path) const;
   static std::string loadFile(const std::string &Path, DenseProfile &Out);
 };
+
+/// Loads every file of \p Paths and merges them, in order, into \p Out.
+/// \returns "" on success, else "FILE: diagnostic" naming the first file
+/// that failed to load or to merge.
+std::string loadProfiles(const std::vector<std::string> &Paths,
+                         DenseProfile &Out);
+
+/// Saves \p P to \p Path. With \p Merge, \p P is first added to the
+/// profile already stored there; a file that cannot be opened counts as
+/// empty, so the first of several processes creates it. \returns "" on
+/// success, else a diagnostic.
+std::string saveProfile(const DenseProfile &P, const std::string &Path,
+                        bool Merge);
 
 /// Collects a ground-truth dense profile: runs every element of \p Train
 /// against \p Engine's image (fanning out over \p Threads workers; 0

@@ -124,11 +124,12 @@ std::string InlinePass::run(Module &M, FunctionAnalysisManager &FAM) {
 }
 
 std::string PdfLayoutPass::run(Module &M, FunctionAnalysisManager &FAM) {
-  bool Kept = TrainBattery
-                  ? pdfLayoutMeasured(M, Profile, MM, *TrainBattery, Threads)
-                  : pdfLayoutMeasured(M, Profile, MM, TrainInput);
+  static const std::vector<RunOptions> NoBattery;
+  const std::vector<RunOptions> &Battery =
+      TrainBattery ? *TrainBattery : NoBattery;
+  bool Kept = pdfLayoutMeasured(M, Profile, MM, Battery, Threads);
   if (KeptOut)
-    *KeptOut = Kept ? 1 : 0;
+    *KeptOut = Battery.empty() ? -1 : Kept ? 1 : 0;
   FAM.invalidateAll();
   return "";
 }

@@ -187,25 +187,23 @@ public:
 };
 
 /// profile/PdfLayout.h measured layout gate — module-level (re-simulates
-/// the whole module on the training input(s)). A non-null \p TrainBattery
-/// takes precedence over \p TrainInput and sums cycles over the whole
-/// battery through one predecoded engine; \p KeptOut (when non-null)
-/// receives the gate decision (1 kept, 0 rolled back).
+/// the whole module on the training battery, cycles summed through one
+/// predecoded engine). \p KeptOut (when non-null) receives the gate
+/// decision: 1 kept, 0 rolled back, -1 when \p TrainBattery is null or
+/// empty and the layout is kept without a measurement.
 class PdfLayoutPass : public ModulePass {
 public:
   PdfLayoutPass(const ProfileData &Profile, const MachineModel &MM,
-                const RunOptions *TrainInput,
-                const std::vector<RunOptions> *TrainBattery = nullptr,
+                const std::vector<RunOptions> *TrainBattery,
                 unsigned Threads = 1, int *KeptOut = nullptr)
-      : Profile(Profile), MM(MM), TrainInput(TrainInput),
-        TrainBattery(TrainBattery), Threads(Threads), KeptOut(KeptOut) {}
+      : Profile(Profile), MM(MM), TrainBattery(TrainBattery),
+        Threads(Threads), KeptOut(KeptOut) {}
   const char *name() const override { return "pdf-layout"; }
   std::string run(Module &M, FunctionAnalysisManager &FAM) override;
 
 private:
   const ProfileData &Profile;
   const MachineModel &MM;
-  const RunOptions *TrainInput;
   const std::vector<RunOptions> *TrainBattery;
   unsigned Threads;
   int *KeptOut;

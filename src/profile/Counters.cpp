@@ -9,6 +9,7 @@
 #include "opt/Classical.h"
 #include "vliw/LimitedCombine.h"
 #include "vliw/LoadStoreMotion.h"
+#include "vliw/Pipeline.h"
 
 #include <algorithm>
 #include <cassert>
@@ -421,20 +422,18 @@ std::string vsc::inferCounts(
   return "";
 }
 
+std::unique_ptr<Module> vsc::prepareForTraining(const Module &Source) {
+  auto Prepared = cloneModule(Source);
+  optimize(*Prepared, OptLevel::None);
+  return Prepared;
+}
+
 ProfileCollector::ProfileCollector(const Module &Source,
                                    const MachineModel &Machine,
                                    bool HoistCounters)
-    : Instrumented(cloneModule(Source)),
+    : Instrumented(prepareForTraining(Source)),
       Info(instrumentModule(*Instrumented, HoistCounters)),
       Engine(*Instrumented, Machine) {}
-
-std::unordered_map<std::string, uint64_t>
-ProfileCollector::counts(const RunOptions &Train) {
-  RunOptions Opts = Train;
-  Opts.KeepMemory = true;
-  RunResult R = Engine.run(Opts);
-  return readCounters(R, Info);
-}
 
 std::unordered_map<std::string, uint64_t>
 ProfileCollector::counts(const std::vector<RunOptions> &Battery,
@@ -474,22 +473,5 @@ ProfileData ProfileCollector::profileFor(Module &Target,
   std::string E = expand(Target, counts(Battery, Threads), P);
   if (!E.empty() && Err && Err->empty())
     *Err = E;
-  return P;
-}
-
-ProfileData vsc::collectProfile(Module &Train, Module &Target,
-                                const MachineModel &Machine,
-                                const RunOptions &TrainOpts) {
-  Instrumentation Info = instrumentModule(Train, /*HoistCounters=*/true);
-  RunOptions Opts = TrainOpts;
-  Opts.KeepMemory = true;
-  RunResult R = simulate(Train, Machine, Opts);
-  std::unordered_map<std::string, uint64_t> Counts = readCounters(R, Info);
-
-  ProfileData P;
-  for (auto &F : Target.functions()) {
-    planCounters(*F); // identical flow-graph surgery as pass 1
-    inferCounts(*F, Counts, P);
-  }
   return P;
 }

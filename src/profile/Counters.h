@@ -77,29 +77,26 @@ std::string inferCounts(Function &F,
                             &Counted,
                         ProfileData &Out);
 
-/// End-to-end PDF collection, the paper's two-pass scheme: \p Train (a
-/// throwaway copy of the program) is instrumented and simulated on the
-/// training input; \p Target (the copy that will be optimized) gets
-/// planCounters applied — deterministically identical to pass 1 — and the
-/// counter values are read back "at the same place" and expanded into a
-/// full profile for Target. \returns the profile; empty on failure.
-ProfileData collectProfile(Module &Train, Module &Target,
-                           const MachineModel &Machine,
-                           const RunOptions &TrainOpts);
+/// A run-ready clone of \p Source for training: prolog insertion only
+/// (optimize at OptLevel::None). The raw frontend output has no prologs,
+/// so an argument-taking entry would read its parameters from unwired
+/// stack slots and train on a garbage input. The CFG fingerprint is
+/// invariant under this preparation (tests/test_pdf_store.cpp), so a
+/// profile collected from the clone still attaches to \p Source.
+std::unique_ptr<Module> prepareForTraining(const Module &Source);
 
-/// The cached form of the two-pass scheme: instruments a private clone of
-/// the source module ONCE and predecodes it ONCE (SimEngine); every
-/// further training input only costs one simulation. This is what the PDF
-/// experiments use instead of rebuilding + re-instrumenting the module per
-/// training run (the pre-PR-5 shape).
+/// The paper's two-pass scheme, instrumented and predecoded once: the
+/// constructor prepares a clone of the raw source module
+/// (prepareForTraining), instruments it and predecodes it, so every
+/// training input only costs one simulation. expand() then applies the
+/// pass-1-identical planCounters surgery to the module that will be
+/// optimized and reads the counters back "at the same place".
 class ProfileCollector {
 public:
-  /// \p Source is cloned, never modified.
+  /// \p Source is the raw (unprepared) module; it is cloned, never
+  /// modified.
   ProfileCollector(const Module &Source, const MachineModel &Machine,
                    bool HoistCounters = true);
-
-  /// Raw counter values ("func:label" -> count) from one training run.
-  std::unordered_map<std::string, uint64_t> counts(const RunOptions &Train);
 
   /// Counter values summed over a whole training battery, fanned out over
   /// \p Threads workers (0 defers to VSC_THREADS). Summation order is the
@@ -119,9 +116,6 @@ public:
   ProfileData profileFor(Module &Target,
                          const std::vector<RunOptions> &Battery,
                          unsigned Threads = 0, std::string *Err = nullptr);
-
-  /// Instrumentation bookkeeping of the cached clone.
-  const Instrumentation &instrumentation() const { return Info; }
 
 private:
   std::unique_ptr<Module> Instrumented;

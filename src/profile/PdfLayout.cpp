@@ -4,38 +4,12 @@
 
 #include "cfg/CfgEdit.h"
 #include "vliw/BlockExpansion.h"
-#include "vliw/Schedule.h"
 
 #include <algorithm>
 #include <functional>
+#include <unordered_set>
 
 using namespace vsc;
-
-double vsc::estimateProfiledCost(Function &F, const ProfileData &P,
-                                 const MachineModel &MM) {
-  Cfg G(F);
-  double Cost = 0;
-  for (const auto &BBPtr : F.blocks()) {
-    BasicBlock *BB = BBPtr.get();
-    if (!G.isReachable(BB))
-      continue;
-    uint64_t Count = P.block(F, BB);
-    if (Count == 0)
-      continue;
-    Cost += static_cast<double>(Count) * estimateBlockCycles(*BB, MM);
-  }
-  // Redirect penalties for edges that do not fall through in this layout.
-  for (const CfgEdge &E : G.edges()) {
-    if (!E.IsTaken)
-      continue;
-    // Branch-on-count redirects are free in the model.
-    if (E.TermIdx >= 0 &&
-        E.From->instrs()[static_cast<size_t>(E.TermIdx)].Op == Opcode::BCT)
-      continue;
-    Cost += static_cast<double>(P.edge(F, E)) * MM.TakenBranchRedirect;
-  }
-  return Cost;
-}
 
 namespace {
 
@@ -59,24 +33,6 @@ struct FunctionSnapshot {
   }
 };
 
-} // namespace
-
-bool vsc::pdfLayoutGated(Function &F, const ProfileData &P,
-                         const MachineModel &MM) {
-  FunctionSnapshot Snap = FunctionSnapshot::take(F);
-  double Before = estimateProfiledCost(F, P, MM);
-  pdfReorderBlocks(F, P);
-  pdfReverseBranches(F, P, MM);
-  double After = estimateProfiledCost(F, P, MM);
-  if (After >= Before) {
-    Snap.restore(F);
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
 /// Cycle sum of \p Battery against a fresh predecode of \p M; false when
 /// any run traps.
 bool batteryCycles(const Module &M, const MachineModel &MM,
@@ -93,15 +49,6 @@ bool batteryCycles(const Module &M, const MachineModel &MM,
 }
 
 } // namespace
-
-bool vsc::pdfLayoutMeasured(Module &M, const ProfileData &P,
-                            const MachineModel &MM,
-                            const RunOptions *TrainInput) {
-  std::vector<RunOptions> Battery;
-  if (TrainInput)
-    Battery.push_back(*TrainInput);
-  return pdfLayoutMeasured(M, P, MM, Battery, /*Threads=*/1);
-}
 
 bool vsc::pdfLayoutMeasured(Module &M, const ProfileData &P,
                             const MachineModel &MM,

@@ -32,34 +32,17 @@ bool pdfReorderBlocks(Function &F, const ProfileData &P);
 bool pdfReverseBranches(Function &F, const ProfileData &P,
                         const MachineModel &MM, double Threshold = 0.6);
 
-/// Profile-weighted cost model for layout decisions: per-block scheduled
-/// issue cycles times execution count, plus the taken-branch redirect for
-/// every profiled edge that does not fall through in the current layout.
-double estimateProfiledCost(Function &F, const ProfileData &P,
-                            const MachineModel &MM);
-
-/// Runs both layout applications and keeps the result only if the
-/// profiled cost model improves. \returns true if kept.
-bool pdfLayoutGated(Function &F, const ProfileData &P,
-                    const MachineModel &MM);
-
 /// Module-level layout application with a *measured* gate: applies
 /// reordering + reversal to every function, re-simulates the training
-/// input, and rolls everything back unless cycles improved. Profile-
-/// directed feedback with this gate can only help the trained input —
-/// the safety the paper's "heretofore considered too risky" framing asks
-/// for. With a null \p TrainInput the layout is kept unconditionally.
-/// \returns true if the layout was kept.
-bool pdfLayoutMeasured(Module &M, const ProfileData &P,
-                       const MachineModel &MM,
-                       const RunOptions *TrainInput);
-
-/// Battery form of the measured gate: cycles are summed over every
-/// training input, each battery simulated through one predecoded SimEngine
-/// and fanned out over \p Threads workers (0 defers to VSC_THREADS; the
-/// sum is positional, so the decision is identical at every thread
-/// count). An empty battery keeps the layout unconditionally; a trapping
-/// training run rolls it back.
+/// battery, and rolls everything back unless the cycles summed over every
+/// input improved. Profile-directed feedback with this gate can only help
+/// the trained inputs — the safety the paper's "heretofore considered too
+/// risky" framing asks for. Each battery is simulated through one
+/// predecoded SimEngine and fanned out over \p Threads workers (0 defers
+/// to VSC_THREADS; the sum is positional, so the decision is identical at
+/// every thread count). An empty battery keeps the layout
+/// unconditionally; a trapping training run rolls it back. \returns true
+/// if the layout was kept.
 bool pdfLayoutMeasured(Module &M, const ProfileData &P,
                        const MachineModel &MM,
                        const std::vector<RunOptions> &TrainBattery,

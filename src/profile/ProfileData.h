@@ -4,12 +4,12 @@
 /// Execution counts consumed by profile-directed feedback: block counts and
 /// edge counts keyed by "function:label" / "function:from->to". Two
 /// producers exist: the simulator's exact ground truth (RunResult), and the
-/// paper's low-overhead instrumentation pipeline (profile/Instrument.h +
-/// profile/Inference.h), which counts only a subset of blocks and infers
-/// the rest. "The flow graph edge counts are maintained as compiler
-/// transformations occur" is approximated by key lookups that survive
-/// label-preserving transformations; blocks created later have no counts
-/// and report probability 0.5.
+/// paper's low-overhead instrumentation pipeline (profile/Counters.h),
+/// which counts only a subset of blocks and infers the rest. "The flow
+/// graph edge counts are maintained as compiler transformations occur" is
+/// approximated by key lookups that survive label-preserving
+/// transformations; blocks created later have no counts and report
+/// probability 0.5.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,8 +5,8 @@
 #include "audit/PassAudit.h" // cloneModule
 #include "frontend/Frontend.h"
 #include "ir/Printer.h"
-#include "pdf/PdfExperiment.h"
 #include "pdf/ProfileStore.h"
+#include "profile/Counters.h"
 #include "support/ThreadPool.h"
 #include "workloads/Registry.h"
 
@@ -38,10 +38,6 @@ std::string oneLine(std::string S) {
     if (C == '\n' || C == '\r')
       C = ';';
   return S;
-}
-
-const char *layoutName(int Kept) {
-  return Kept < 0 ? "unconditional" : Kept ? "kept" : "rolled-back";
 }
 
 // --- live artifact bodies ---------------------------------------------------
@@ -146,7 +142,8 @@ struct CompileService::Impl {
     return Cache.put(K, std::move(A));
   }
 
-  /// module -> run-ready training clone (pdf/PdfExperiment.h stage).
+  /// module -> run-ready training clone (profile/Counters.h
+  /// prepareForTraining).
   /// Module-derived keys fold the printed module's hash next to its CFG
   /// fingerprint: two programs can share a CFG shape (block and edge
   /// labels) while their instructions differ.
@@ -395,7 +392,7 @@ ServiceResponse CompileService::Impl::handleOne(const ServiceRequest &R) {
     Opts.Superblocks = R.Superblocks;
     uint64_t Salt = 0;
     ProfileData Feedback;
-    RunOptions Gate;
+    std::vector<RunOptions> Gate(1);
     std::shared_ptr<const Artifact> Prof;
     if (!R.ProfileIn.empty()) {
       Prof = loadedProfileArt(R.ProfileIn, Err);
@@ -407,19 +404,19 @@ ServiceResponse CompileService::Impl::handleOne(const ServiceRequest &R) {
       if (!Stale.empty())
         return errorResponse(R.Name, Stale);
       Feedback = P.toProfileData();
-      Gate.Args = R.Args;
+      Gate.front().Args = R.Args;
       Opts.Profile = &Feedback;
-      Opts.TrainInput = &Gate; // measured layout gate, vscc parity
+      Opts.TrainBattery = &Gate; // measured layout gate, vscc parity
       Salt = fnv1aWords({fnv1aBytes(Prof->Sealed.data(),
                                     Prof->Sealed.size()),
-                         runOptionsFingerprint(Gate)});
+                         batteryHash(Gate)});
     }
     auto Opt = optimizedArt(Frontend, R.Level, Opts, Salt, nullptr);
     const ModuleBody &B = moduleBody(*Opt);
     Resp.Text = Head + " fp=" + hex64(B.CfgFp) + " ir=" + hex64(B.IrHash) +
                 " instrs=" + dec64(B.Instrs);
     if (!R.ProfileIn.empty())
-      Resp.Text += std::string(" layout=") + layoutName(B.PdfLayoutKept);
+      Resp.Text += std::string(" layout=") + pdfLayoutName(B.PdfLayoutKept);
     return Resp;
   }
 
@@ -511,7 +508,7 @@ ServiceResponse CompileService::Impl::handleOne(const ServiceRequest &R) {
     std::snprintf(GainBuf, sizeof(GainBuf), "%.4f", Gain);
     Resp.Text = Head + " base=" + dec64(BaseCycles) +
                 " guided=" + dec64(GuidedCycles) + " gain=" + GainBuf +
-                " layout=" + layoutName(moduleBody(*Guided).PdfLayoutKept) +
+                " layout=" + pdfLayoutName(moduleBody(*Guided).PdfLayoutKept) +
                 " proffp=" + hex64(P.CfgHash);
     return Resp;
   }

@@ -51,6 +51,10 @@ const char *vsc::optLevelName(OptLevel L) {
   return "?";
 }
 
+const char *vsc::pdfLayoutName(int Kept) {
+  return Kept < 0 ? "unconditional" : Kept ? "kept" : "rolled-back";
+}
+
 namespace {
 
 std::function<std::string()> &failureHook() {
@@ -204,7 +208,7 @@ uint64_t vsc::optionsFingerprint(OptLevel L, const PipelineOptions &Opts) {
                  Opts.TailorProlog, Opts.InsertPrologs,
                  Opts.AllocateRegisters, Opts.Superblocks,
                  Opts.FlowSensitiveAlias, Opts.Profile != nullptr,
-                 Opts.TrainInput != nullptr, Opts.TrainBattery != nullptr})
+                 Opts.TrainBattery != nullptr})
     Bits = (Bits << 1) | (B ? 1 : 0);
   Word(Bits);
   // Exact pipelining changes bytes in Apply mode, and the budget knobs
@@ -324,12 +328,11 @@ void vsc::optimize(Module &M, OptLevel L, const PipelineOptions &Opts) {
                                         Opts.TailorProlog));
     MPM.addFunctionPasses("prolog", std::move(PL), Threads);
   }
-  // Profile-directed layout, gated by re-simulating the training input(s)
+  // Profile-directed layout, gated by re-simulating the training battery
   // when supplied.
   int PdfKept = -1;
   if (L == OptLevel::Vliw && Opts.Profile)
     MPM.add(std::make_unique<PdfLayoutPass>(*Opts.Profile, Opts.Machine,
-                                            Opts.TrainInput,
                                             Opts.TrainBattery, Threads,
                                             &PdfKept));
   // Claim collection + validation: the sink records every NoAlias verdict

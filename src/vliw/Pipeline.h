@@ -45,9 +45,11 @@ struct PipelineStats {
   /// Analysis-cache hits/misses across every function (pm/Analysis.h).
   uint64_t AnalysisHits = 0;
   uint64_t AnalysisMisses = 0;
-  /// Measured PDF-layout gate decision: -1 the gate did not run, 0 the
-  /// layout was rolled back, 1 it was kept. Cross-process experiments
-  /// compare this (scripts/ci.sh checks pdf_workflow against vscc).
+  /// Measured PDF-layout gate decision: -1 the gate did not run (no
+  /// profile, or no training battery to measure), 0 the layout was rolled
+  /// back, 1 it was kept. Cross-process experiments compare this
+  /// (scripts/ci.sh checks pdf_workflow against vscc); pdfLayoutName
+  /// spells it.
   int PdfLayoutKept = -1;
   /// Per-stage disambiguation-query deltas (analysis/MemAlias.h counters,
   /// snapshotted by the PassAudit checkpoints — empty unless Audit is
@@ -88,13 +90,11 @@ struct PipelineOptions {
   bool AllocateRegisters = false;
   /// Profile for PDF (reordering, reversal, scheduling heuristics).
   const ProfileData *Profile = nullptr;
-  /// Training input for the measured PDF-layout gate: when set, the
-  /// layout applications are kept only if simulated cycles on this input
-  /// improve (see pdfLayoutMeasured). Null keeps them unconditionally.
-  const RunOptions *TrainInput = nullptr;
-  /// Battery form of the measured gate (pdf/PdfExperiment.h): cycles are
-  /// summed over every training input through one predecoded engine,
-  /// fanned out over Threads workers. Takes precedence over TrainInput.
+  /// Training battery for the measured PDF-layout gate: the layout
+  /// applications are kept only if simulated cycles summed over every
+  /// input improve (see pdfLayoutMeasured), each input run through one
+  /// predecoded engine and fanned out over Threads workers. A single input
+  /// is a battery of one; null or empty keeps the layout unconditionally.
   const std::vector<RunOptions> *TrainBattery = nullptr;
   /// Trace-scheduling-style superblock formation (requires Profile): tail-
   /// duplicate hot traces before scheduling, the IMPACT-flavoured baseline
@@ -168,10 +168,10 @@ inline void optimize(Module &M, OptLevel L) {
 /// byte-identical output. Deliberately EXCLUDED: Threads (byte-identical
 /// at every count by the parallel driver's contract), Stats, and the
 /// verification/audit/oracle levels (observers that abort rather than
-/// transform). Profile, TrainInput and TrainBattery are folded in as
-/// present/absent markers only — a caller keying cached artifacts (the
-/// compile service) must additionally fold the profile and gate-input
-/// CONTENT hashes into its key.
+/// transform). Profile and TrainBattery are folded in as present/absent
+/// markers only — a caller keying cached artifacts (the compile service)
+/// must additionally fold the profile and gate-battery CONTENT hashes
+/// into its key.
 uint64_t optionsFingerprint(OptLevel L, const PipelineOptions &Opts);
 
 /// Clone-and-optimize: the shape every staged driver wants (PDF baseline
@@ -182,6 +182,10 @@ std::unique_ptr<Module> optimizedClone(const Module &Source, OptLevel L,
 
 /// Human-readable name for reports.
 const char *optLevelName(OptLevel L);
+
+/// Report name of a PipelineStats::PdfLayoutKept decision: "unconditional"
+/// (-1), "rolled-back" (0) or "kept" (1).
+const char *pdfLayoutName(int Kept);
 
 /// Installs a hook whose string is printed to stderr right before the
 /// pipeline aborts on a verification/audit/oracle failure. Harnesses use

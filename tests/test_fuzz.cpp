@@ -10,8 +10,7 @@
 
 #include "TestUtil.h"
 #include "frontend/Frontend.h"
-#include "profile/Counters.h"
-#include "vliw/Pipeline.h"
+#include "pdf/PdfExperiment.h"
 #include "workloads/RandomProgram.h"
 
 #include <gtest/gtest.h>
@@ -124,15 +123,16 @@ TEST_P(FuzzTest, PdfAgrees) {
   RunResult RB = runIt(*Base, rs6000());
   ASSERT_FALSE(RB.Trapped) << RB.TrapMsg;
 
-  auto Train = compileSeed(Seed);
   auto Target = compileSeed(Seed);
-  ASSERT_TRUE(Train && Target);
-  RunOptions TrainOpts;
-  TrainOpts.Args = {2};
-  TrainOpts.MaxInstrs = 20'000'000;
-  ProfileData P = collectProfile(*Train, *Target, rs6000(), TrainOpts);
+  ASSERT_TRUE(Target);
+  PdfExperimentOptions PO;
+  PO.Train.resize(1);
+  PO.Train.front().Args = {2};
+  PO.Train.front().MaxInstrs = 20'000'000;
+  PdfFeedback F = collectPdfFeedback(*Target, PO, Target.get());
+  ASSERT_TRUE(F.ok()) << "seed " << Seed << ": " << F.Error;
   PipelineOptions Opts = auditedOptions();
-  Opts.Profile = &P;
+  Opts.Profile = &F.Feedback;
   optimize(*Target, OptLevel::Vliw, Opts);
   ASSERT_EQ(verifyModule(*Target), "") << "seed " << Seed;
   RunResult R = runIt(*Target, rs6000());
@@ -233,15 +233,17 @@ TEST_P(ShapedFuzzTest, PdfAgreesAcrossMachines) {
     RunResult RB = runIt(*Base, rs6000());
     ASSERT_FALSE(RB.Trapped) << RB.TrapMsg;
 
-    auto Train = compileShaped(Seed, Shape);
     auto Target = compileShaped(Seed, Shape);
-    ASSERT_TRUE(Train && Target);
-    RunOptions TrainOpts;
-    TrainOpts.Args = {2};
-    TrainOpts.MaxInstrs = 20'000'000;
-    ProfileData P = collectProfile(*Train, *Target, rs6000(), TrainOpts);
+    ASSERT_TRUE(Target);
+    PdfExperimentOptions PO;
+    PO.Train.resize(1);
+    PO.Train.front().Args = {2};
+    PO.Train.front().MaxInstrs = 20'000'000;
+    PdfFeedback F = collectPdfFeedback(*Target, PO, Target.get());
+    ASSERT_TRUE(F.ok()) << "seed " << Seed << " shape " << shapeName(Shape)
+                        << ": " << F.Error;
     PipelineOptions Opts = auditedOptions();
-    Opts.Profile = &P;
+    Opts.Profile = &F.Feedback;
     optimize(*Target, OptLevel::Vliw, Opts);
     ASSERT_EQ(verifyModule(*Target), "")
         << "seed " << Seed << " shape " << shapeName(Shape);

@@ -1,19 +1,23 @@
 //===- tests/test_pdf_experiment.cpp - PDF experiment driver ---------------===//
 ///
 /// The pdf/PdfExperiment.h contract: dense collection is bit-identical to
-/// the legacy string-keyed profile path on every workload kernel, results
+/// the simulator's string-keyed counts on every workload kernel, results
 /// are byte-identical at every thread count, a persisted profile drives
-/// the same pipeline decisions as the in-process one, and the cached
-/// ProfileCollector reproduces collectProfile exactly.
+/// the same pipeline decisions as the in-process one, and the counter
+/// scheme reproduces the exact counts on every registry kernel.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "audit/PassAudit.h" // cloneModule
 #include "pdf/PdfExperiment.h"
-#include "profile/Counters.h"
+#include "workloads/Registry.h"
 #include "workloads/Spec.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 using namespace vsc;
 
@@ -176,26 +180,70 @@ TEST(PdfExperiment, TrainsOnRunReadyModules) {
   EXPECT_EQ(R.Profile.validateFor(*M), "");
 }
 
-// The cached collector (instrument once, predecode once) must reproduce
-// the rebuild-per-run collectProfile exactly.
-TEST(PdfExperiment, CachedCollectorMatchesLegacyCollectProfile) {
-  const Workload &W = specWorkloads()[2];
-  RunOptions In = workloadInput(W.TrainScale);
+// The counter scheme (count a subset of blocks on a prepared, instrumented
+// clone; infer the rest) must reproduce the exact dense counts on every
+// registry kernel: every executed block gets its exact count, and every
+// executed edge carries its exact count — on the edge itself, or on both
+// halves of the dummy block planCounters put on it.
+TEST(PdfExperiment, CounterFeedbackMatchesExactCountsOnEveryKernel) {
+  auto CountOf = [](const std::unordered_map<std::string, uint64_t> &Counts,
+                    const std::string &Key) -> uint64_t {
+    auto It = Counts.find(Key);
+    return It == Counts.end() ? 0 : It->second;
+  };
+  for (const Workload &W : workloads::allKernels()) {
+    auto Source = buildWorkload(W);
+    PdfExperimentOptions Opts;
+    Opts.Train = {workloadInput(W.TrainScale)};
+    Opts.ProfileSource = PdfExperimentOptions::Source::Exact;
+    PdfFeedback Exact = collectPdfFeedback(*Source, Opts, nullptr);
+    ASSERT_TRUE(Exact.ok()) << W.Name << ": " << Exact.Error;
+    ASSERT_FALSE(Exact.Feedback.BlockCount.empty()) << W.Name;
 
-  auto Train = buildWorkload(W);
-  auto LegacyTarget = buildWorkload(W);
-  ProfileData Legacy = collectProfile(*Train, *LegacyTarget, rs6000(), In);
+    auto Target = cloneModule(*Source);
+    Opts.ProfileSource = PdfExperimentOptions::Source::Counters;
+    PdfFeedback Counted = collectPdfFeedback(*Source, Opts, Target.get());
+    ASSERT_TRUE(Counted.ok()) << W.Name << ": " << Counted.Error;
+    const ProfileData &C = Counted.Feedback;
 
-  auto Source = buildWorkload(W);
-  auto CachedTarget = buildWorkload(W);
-  ProfileCollector Collector(*Source, rs6000());
-  std::string Err;
-  ProfileData Cached =
-      Collector.profileFor(*CachedTarget, {In}, 1, &Err);
-  ASSERT_EQ(Err, "");
+    for (const auto &[Key, N] : Exact.Feedback.BlockCount)
+      EXPECT_EQ(CountOf(C.BlockCount, Key), N) << W.Name << " " << Key;
 
-  EXPECT_EQ(Cached.BlockCount, Legacy.BlockCount);
-  EXPECT_EQ(Cached.EdgeCount, Legacy.EdgeCount);
-  // Both paths apply the same deterministic planCounters surgery.
-  EXPECT_EQ(printModule(*CachedTarget), printModule(*LegacyTarget));
+    std::set<std::string> Seen; // exact edge keys checked
+    for (const auto &TF : Target->functions()) {
+      const std::string &Fn = TF->name();
+      Function &SF = *Source->findFunction(Fn);
+      // The blocks planCounters added, by the (source, target) edge each
+      // one splits.
+      Cfg TG(*TF);
+      std::map<std::pair<std::string, std::string>, std::vector<std::string>>
+          Dummies;
+      for (const auto &BB : TF->blocks()) {
+        if (SF.findBlock(BB->label()))
+          continue;
+        ASSERT_EQ(TG.preds(BB.get()).size(), 1u) << W.Name << " " << Fn;
+        ASSERT_EQ(TG.succs(BB.get()).size(), 1u) << W.Name << " " << Fn;
+        Dummies[{TG.preds(BB.get()).front()->label(),
+                 TG.succs(BB.get()).front().To->label()}]
+            .push_back(BB->label());
+      }
+      Cfg SG(SF);
+      for (const CfgEdge &E : SG.edges()) {
+        const std::string &From = E.From->label(), &To = E.To->label();
+        std::string Key = edgeCountKey(Fn, From, To);
+        auto It = Exact.Feedback.EdgeCount.find(Key);
+        if (It == Exact.Feedback.EdgeCount.end() || !Seen.insert(Key).second)
+          continue;
+        uint64_t Sum = CountOf(C.EdgeCount, Key);
+        for (const std::string &D : Dummies[{From, To}]) {
+          uint64_t In = CountOf(C.EdgeCount, edgeCountKey(Fn, From, D));
+          EXPECT_EQ(CountOf(C.EdgeCount, edgeCountKey(Fn, D, To)), In)
+              << W.Name << " " << Key << " via " << D;
+          Sum += In;
+        }
+        EXPECT_EQ(Sum, It->second) << W.Name << " " << Key;
+      }
+    }
+    EXPECT_EQ(Seen.size(), Exact.Feedback.EdgeCount.size()) << W.Name;
+  }
 }

@@ -1,9 +1,8 @@
 //===- tests/test_pdf_gate.cpp - Measured PDF-layout gate ------------------===//
 
 #include "TestUtil.h"
-#include "profile/Counters.h"
+#include "pdf/PdfExperiment.h"
 #include "profile/PdfLayout.h"
-#include "vliw/Pipeline.h"
 #include "workloads/Spec.h"
 
 #include <gtest/gtest.h>
@@ -46,7 +45,7 @@ TEST(PdfGate, KeepsImprovingLayout) {
 
   auto M = parseOrDie(SkewedLoop);
   RunOptions Train; // same input
-  bool Kept = pdfLayoutMeasured(*M, P, rs6000(), &Train);
+  bool Kept = pdfLayoutMeasured(*M, P, rs6000(), {Train});
   EXPECT_TRUE(Kept);
   RunResult After = simulate(*M, rs6000());
   EXPECT_EQ(Ground.fingerprint(), After.fingerprint());
@@ -80,7 +79,7 @@ exit:
   auto M = parseOrDie(Straight);
   std::string Before = printModule(*M);
   RunOptions Train;
-  bool Kept = pdfLayoutMeasured(*M, P, rs6000(), &Train);
+  bool Kept = pdfLayoutMeasured(*M, P, rs6000(), {Train});
   if (!Kept)
     EXPECT_EQ(printModule(*M), Before) << "rollback must be exact";
   RunResult After = simulate(*M, rs6000());
@@ -88,11 +87,31 @@ exit:
   EXPECT_LE(After.Cycles, Ground.Cycles);
 }
 
-TEST(PdfGate, NullTrainInputKeepsUnconditionally) {
+TEST(PdfGate, EmptyBatteryKeepsUnconditionally) {
   auto Seed = parseOrDie(SkewedLoop);
   ProfileData P = ProfileData::fromRun(simulate(*Seed, rs6000()));
   auto M = parseOrDie(SkewedLoop);
-  EXPECT_TRUE(pdfLayoutMeasured(*M, P, rs6000(), nullptr));
+  EXPECT_TRUE(pdfLayoutMeasured(*M, P, rs6000(), /*TrainBattery=*/{}));
+}
+
+// Without a battery to measure, the layout is kept without a decision:
+// the pipeline must report -1 ("unconditional"), not a kept gate.
+TEST(PdfGate, NoBatteryReportsGateDidNotRun) {
+  auto Seed = parseOrDie(SkewedLoop);
+  ProfileData P = ProfileData::fromRun(simulate(*Seed, rs6000()));
+  const std::vector<RunOptions> Empty;
+  const std::vector<RunOptions> *Batteries[] = {nullptr, &Empty};
+  for (const std::vector<RunOptions> *Battery : Batteries) {
+    auto M = parseOrDie(SkewedLoop);
+    PipelineStats Stats;
+    PipelineOptions Opts;
+    Opts.Profile = &P;
+    Opts.TrainBattery = Battery;
+    Opts.Stats = &Stats;
+    optimize(*M, OptLevel::Vliw, Opts);
+    EXPECT_EQ(Stats.PdfLayoutKept, -1) << (Battery ? "empty" : "null");
+    EXPECT_STREQ(pdfLayoutName(Stats.PdfLayoutKept), "unconditional");
+  }
 }
 
 TEST(PdfGate, GatedPipelineNeverRegressesTrainedInput) {
@@ -103,13 +122,12 @@ TEST(PdfGate, GatedPipelineNeverRegressesTrainedInput) {
     optimize(*Plain, OptLevel::Vliw);
     RunResult RPlain = simulate(*Plain, rs6000(), Train);
 
-    auto TrainM = buildWorkload(W);
     auto Guided = buildWorkload(W);
-    ProfileData P = collectProfile(*TrainM, *Guided, rs6000(), Train);
-    PipelineOptions Opts;
-    Opts.Profile = &P;
-    Opts.TrainInput = &Train;
-    optimize(*Guided, OptLevel::Vliw, Opts);
+    PdfExperimentOptions PO;
+    PO.Train = {Train};
+    PdfFeedback F = collectPdfFeedback(*Guided, PO, Guided.get());
+    ASSERT_TRUE(F.ok()) << W.Name << ": " << F.Error;
+    pdfGuidedCompile(*Guided, F.Feedback, PO);
     RunResult RGuided = simulate(*Guided, rs6000(), Train);
 
     EXPECT_EQ(RPlain.fingerprint(), RGuided.fingerprint()) << W.Name;

@@ -172,6 +172,54 @@ TEST(PdfStore, FileRoundTrip) {
   EXPECT_NE(DenseProfile::loadFile(Path, Missing), "");
 }
 
+// The command-line handoff: saveProfile with Merge creates a missing file
+// and accumulates into an existing one; loadProfiles merges in order and
+// names the file that fails.
+TEST(PdfStore, SaveAndLoadProfilesMergeAcrossFiles) {
+  auto M = buildNamed("eqntott");
+  SimEngine Engine(*M, rs6000());
+  DenseProfile A = profileAt(Engine, 1);
+  DenseProfile B = profileAt(Engine, 2);
+  DenseProfile AB = A;
+  ASSERT_EQ(AB.merge(B), "");
+
+  std::string Path = tempPath("vsc_pdf_store_handoff.vscp");
+  std::remove(Path.c_str());
+  ASSERT_EQ(saveProfile(A, Path, /*Merge=*/true), "");
+  ASSERT_EQ(saveProfile(B, Path, /*Merge=*/true), "");
+  DenseProfile Stored;
+  ASSERT_EQ(DenseProfile::loadFile(Path, Stored), "");
+  EXPECT_EQ(Stored.serialize(), AB.serialize());
+
+  DenseProfile Twice;
+  ASSERT_EQ(loadProfiles({Path, Path}, Twice), "");
+  DenseProfile Expected = AB;
+  ASSERT_EQ(Expected.merge(AB), "");
+  EXPECT_EQ(Twice.serialize(), Expected.serialize());
+
+  // Without Merge the file is overwritten.
+  ASSERT_EQ(saveProfile(A, Path, /*Merge=*/false), "");
+  ASSERT_EQ(DenseProfile::loadFile(Path, Stored), "");
+  EXPECT_EQ(Stored.serialize(), A.serialize());
+
+  // A profile of another module neither merges into nor loads with it.
+  auto Other = buildNamed("compress");
+  SimEngine OtherEngine(*Other, rs6000());
+  DenseProfile C = profileAt(OtherEngine, 1);
+  std::string Err = saveProfile(C, Path, /*Merge=*/true);
+  EXPECT_EQ(Err.rfind(Path + ": profile merge:", 0), 0u) << Err;
+  std::string OtherPath = tempPath("vsc_pdf_store_handoff_other.vscp");
+  ASSERT_EQ(saveProfile(C, OtherPath, /*Merge=*/false), "");
+  DenseProfile Mixed;
+  Err = loadProfiles({Path, OtherPath}, Mixed);
+  EXPECT_EQ(Err.rfind(OtherPath + ": profile merge:", 0), 0u) << Err;
+  std::remove(Path.c_str());
+  std::remove(OtherPath.c_str());
+
+  Err = loadProfiles({Path}, Mixed);
+  EXPECT_EQ(Err.rfind(Path + ": cannot open", 0), 0u) << Err;
+}
+
 TEST(PdfStore, MergeIsCommutativeAndAssociative) {
   auto M = buildNamed("eqntott");
   SimEngine Engine(*M, rs6000());
@@ -204,23 +252,6 @@ TEST(PdfStore, MergeRejectsMismatchedCfg) {
   EXPECT_NE(PA.merge(PB), "");
   // A failed merge must leave the counts untouched.
   EXPECT_EQ(PA.serialize(), Before.serialize());
-}
-
-TEST(PdfStore, ScaleReweightsCounts) {
-  auto M = buildNamed("eqntott");
-  SimEngine Engine(*M, rs6000());
-  DenseProfile P = profileAt(Engine, 2);
-
-  DenseProfile Doubled = P;
-  Doubled.scale(2.0);
-  DenseProfile Summed = P;
-  ASSERT_EQ(Summed.merge(P), "");
-  EXPECT_EQ(Doubled.serialize(), Summed.serialize());
-
-  DenseProfile Zeroed = P;
-  Zeroed.scale(0.0);
-  for (uint64_t C : Zeroed.BlockCounts)
-    EXPECT_EQ(C, 0u);
 }
 
 TEST(PdfStore, StaleProfileRejected) {

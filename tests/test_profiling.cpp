@@ -8,9 +8,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "pdf/PdfExperiment.h"
 #include "profile/Counters.h"
 #include "profile/PdfLayout.h"
-#include "vliw/Pipeline.h"
 
 #include <gtest/gtest.h>
 
@@ -180,9 +180,11 @@ TEST(Instrumentation, OverheadIsModest) {
 }
 
 TEST(CollectProfile, EndToEndMatchesGroundTruth) {
-  auto Train = buildEqn();
+  auto Source = buildEqn();
   auto Target = buildEqn();
-  ProfileData P = collectProfile(*Train, *Target, rs6000(), RunOptions());
+  PdfExperimentOptions Opts;
+  Opts.Train = {RunOptions()};
+  ProfileData P = collectPdfFeedback(*Source, Opts, Target.get()).Feedback;
   ASSERT_FALSE(P.BlockCount.empty());
   RunResult Direct = simulate(*Target, rs6000());
   for (const auto &[Key, Val] : Direct.BlockCounts)
@@ -281,9 +283,10 @@ TEST(PdfPipeline, ProfileGuidedVliwAtLeastMatchesVliw) {
   RunResult RPlain = simulate(*Plain, rs6000());
   EXPECT_EQ(RBase.fingerprint(), RPlain.fingerprint());
 
-  auto Train = buildEqn();
   auto Guided = buildEqn();
-  ProfileData P = collectProfile(*Train, *Guided, rs6000(), RunOptions());
+  PdfExperimentOptions PO;
+  PO.Train = {RunOptions()};
+  ProfileData P = collectPdfFeedback(*Guided, PO, Guided.get()).Feedback;
   PipelineOptions Opts;
   Opts.Profile = &P;
   optimize(*Guided, OptLevel::Vliw, Opts);

@@ -143,10 +143,8 @@ TEST(CompileServiceTest, PdfMatchesExperimentDriver) {
                            " "),
             std::string::npos)
       << Resp.Text;
-  const char *Layout = R.PdfLayoutKept < 0 ? "unconditional"
-                       : R.PdfLayoutKept  ? "kept"
-                                          : "rolled-back";
-  EXPECT_NE(Resp.Text.find(std::string(" layout=") + Layout),
+  EXPECT_NE(Resp.Text.find(std::string(" layout=") +
+                           pdfLayoutName(R.PdfLayoutKept)),
             std::string::npos)
       << Resp.Text;
 }

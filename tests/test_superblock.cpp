@@ -1,9 +1,8 @@
 //===- tests/test_superblock.cpp - Trace/superblock formation --------------===//
 
 #include "TestUtil.h"
-#include "profile/Counters.h"
+#include "pdf/PdfExperiment.h"
 #include "profile/Superblock.h"
-#include "vliw/Pipeline.h"
 #include "workloads/Spec.h"
 
 #include <gtest/gtest.h>
@@ -117,9 +116,12 @@ TEST(Superblock, WorkloadsAgreeUnderSuperblockPipeline) {
     RunResult RB = simulate(*Base, rs6000(), In);
     ASSERT_FALSE(RB.Trapped) << W.Name;
 
-    auto Train = buildWorkload(W);
     auto M = buildWorkload(W);
-    ProfileData P = collectProfile(*Train, *M, rs6000(), In);
+    PdfExperimentOptions PO;
+    PO.Train = {In};
+    PdfFeedback F = collectPdfFeedback(*M, PO, M.get());
+    ASSERT_TRUE(F.ok()) << W.Name << ": " << F.Error;
+    const ProfileData &P = F.Feedback;
     PipelineOptions Opts;
     Opts.Profile = &P;
     Opts.Superblocks = true;

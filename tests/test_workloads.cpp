@@ -12,8 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
-#include "profile/Counters.h"
-#include "vliw/Pipeline.h"
+#include "pdf/PdfExperiment.h"
 #include "workloads/Registry.h"
 
 #include <gtest/gtest.h>
@@ -149,10 +148,12 @@ TEST_P(WorkloadTest, PdfPipelinePreservesBehaviour) {
   RunOptions Ref = workloadInput(W.RefScale);
   RunResult RB = simulate(*Base, rs6000(), Ref);
 
-  auto Train = buildWorkload(W);
   auto Guided = buildWorkload(W);
-  ProfileData P = collectProfile(*Train, *Guided, rs6000(),
-                                 workloadInput(W.TrainScale));
+  PdfExperimentOptions PO;
+  PO.Train = {workloadInput(W.TrainScale)};
+  PdfFeedback F = collectPdfFeedback(*Guided, PO, Guided.get());
+  ASSERT_TRUE(F.ok()) << W.Name << ": " << F.Error;
+  const ProfileData &P = F.Feedback;
   ASSERT_FALSE(P.BlockCount.empty()) << W.Name;
   PipelineOptions Opts;
   Opts.Profile = &P;
