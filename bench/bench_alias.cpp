@@ -18,9 +18,14 @@
 /// pipeline is then compiled with PipelineOptions::FlowSensitiveAlias off
 /// vs on and simulated on the reference input — the cycle delta is what
 /// the recovered disambiguation is worth end-to-end. All variants must
-/// produce identical behaviour fingerprints.
+/// produce identical behaviour fingerprints. Each row also counts the
+/// flow-sensitive analysis builds, and the block-entry state cells they
+/// allocated, of one annotated Vliw compile on rs6000: deterministic
+/// numbers for the analysis's compile-time cost.
 ///
 /// Writes the table as BENCH_alias.json (override with --alias-out=FILE).
+/// Every field is deterministic; scripts/ci.sh checks the committed file
+/// against a fresh run byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -195,9 +200,10 @@ int main(int Argc, char **Argv) {
   std::printf("Memory disambiguation: syntactic vs flow-sensitive tier\n");
   std::printf("(NoAlias %% over all access pairs, Classical module; cycles "
               "from the opaque VLIW pipeline, ref inputs)\n");
-  std::printf("%-10s %6s | %8s %8s | %8s %8s | %12s %12s %8s\n",
+  std::printf("%-10s %6s | %8s %8s | %8s %8s | %12s %12s %8s | %6s %8s\n",
               "Benchmark", "pairs", "ann-syn", "ann-flow", "opq-syn",
-              "opq-flow", "cyc(syn)", "cyc(flow)", "speedup");
+              "opq-flow", "cyc(syn)", "cyc(flow)", "speedup", "builds",
+              "cells");
 
   std::vector<double> Speedups;
   std::string Json = "{\n  \"bench\": \"alias\",\n  \"kernels\": [\n";
@@ -211,8 +217,11 @@ int main(int Argc, char **Argv) {
     uint64_t Syn = cyclesOpaque(W, /*FlowAlias=*/false, &RSyn);
     uint64_t Flow = cyclesOpaque(W, /*FlowAlias=*/true, &RFlow);
     checkSame(RSyn, RFlow, W.Name.c_str());
-    // The opaque build must also behave identically to the annotated one.
+    // The opaque build must also behave identically to the annotated one,
+    // whose compile the build counts come from.
+    AliasQueryCounters Before = aliasQueryCounters();
     auto MAnn = buildAt(W, OptLevel::Vliw, rs6000());
+    AliasQueryCounters Built = aliasQueryCounters() - Before;
     RunResult RAnn = runRef(*MAnn, W, rs6000());
     checkSame(RAnn, RFlow, (W.Name + " (annotated)").c_str());
 
@@ -221,14 +230,16 @@ int main(int Argc, char **Argv) {
     Speedups.push_back(Speedup);
 
     std::printf("%-10s %6llu | %7.1f%% %7.1f%% | %7.1f%% %7.1f%% | %12llu "
-                "%12llu %7.3fx\n",
+                "%12llu %7.3fx | %6llu %8llu\n",
                 W.Name.c_str(),
                 static_cast<unsigned long long>(Opq.Pairs), Ann.synPct(),
                 Ann.flowPct(), Opq.synPct(), Opq.flowPct(),
                 static_cast<unsigned long long>(Syn),
-                static_cast<unsigned long long>(Flow), Speedup);
+                static_cast<unsigned long long>(Flow), Speedup,
+                static_cast<unsigned long long>(Built.Builds),
+                static_cast<unsigned long long>(Built.StateCells));
 
-    char Buf[448];
+    char Buf[512];
     std::snprintf(
         Buf, sizeof(Buf),
         "    {\"name\": \"%s\", \"pairs\": %llu, "
@@ -237,16 +248,20 @@ int main(int Argc, char **Argv) {
         "\"opaque_syntactic_noalias_pct\": %.2f, "
         "\"opaque_flow_noalias_pct\": %.2f, "
         "\"opaque_cycles_syntactic\": %llu, "
-        "\"opaque_cycles_flow\": %llu, \"speedup\": %.4f}%s\n",
+        "\"opaque_cycles_flow\": %llu, \"speedup\": %.4f, "
+        "\"vliw_alias_builds\": %llu, "
+        "\"vliw_alias_state_cells\": %llu}%s\n",
         W.Name.c_str(), static_cast<unsigned long long>(Opq.Pairs),
         Ann.synPct(), Ann.flowPct(), Opq.synPct(), Opq.flowPct(),
         static_cast<unsigned long long>(Syn),
         static_cast<unsigned long long>(Flow), Speedup,
+        static_cast<unsigned long long>(Built.Builds),
+        static_cast<unsigned long long>(Built.StateCells),
         I + 1 != Ws.size() ? "," : "");
     Json += Buf;
   }
   double Geomean = geomean(Speedups);
-  std::printf("%-10s %6s | %8s %8s | %8s %8s | %12s %12s %7.3fx\n\n",
+  std::printf("%-10s %6s | %8s %8s | %8s %8s | %12s %12s %7.3fx |\n\n",
               "geomean", "", "", "", "", "", "", "", Geomean);
 
   char Tail[96];

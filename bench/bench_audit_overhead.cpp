@@ -36,23 +36,19 @@ void printAliasQueryTable() {
       if (It == Stages.end()) {
         Stages.push_back(E);
       } else {
-        It->second.Queries += E.second.Queries;
-        It->second.NoAlias += E.second.NoAlias;
-        It->second.MustAlias += E.second.MustAlias;
-        It->second.MayAlias += E.second.MayAlias;
+        It->second += E.second;
       }
     }
   }
-  std::printf("Alias queries by pipeline stage (all six kernels, "
-              "Full audit)\n");
-  std::printf("%-16s %10s %10s %8s %8s %8s\n", "Stage", "queries",
-              "noalias", "must", "may", "no%");
-  uint64_t TotQ = 0, TotNo = 0;
+  std::printf("Alias queries and analysis builds by pipeline stage (all "
+              "six kernels, Full audit)\n");
+  std::printf("%-16s %10s %10s %8s %8s %8s %8s %10s\n", "Stage", "queries",
+              "noalias", "must", "may", "no%", "builds", "cells");
+  AliasQueryCounters Tot;
   for (const auto &S : Stages) {
     const AliasQueryCounters &C = S.second;
-    TotQ += C.Queries;
-    TotNo += C.NoAlias;
-    std::printf("%-16s %10llu %10llu %8llu %8llu %7.1f%%\n",
+    Tot += C;
+    std::printf("%-16s %10llu %10llu %8llu %8llu %7.1f%% %8llu %10llu\n",
                 S.first.c_str(),
                 static_cast<unsigned long long>(C.Queries),
                 static_cast<unsigned long long>(C.NoAlias),
@@ -60,14 +56,18 @@ void printAliasQueryTable() {
                 static_cast<unsigned long long>(C.MayAlias),
                 C.Queries ? 100.0 * static_cast<double>(C.NoAlias) /
                                 static_cast<double>(C.Queries)
-                          : 0.0);
+                          : 0.0,
+                static_cast<unsigned long long>(C.Builds),
+                static_cast<unsigned long long>(C.StateCells));
   }
-  std::printf("%-16s %10llu %10llu %8s %8s %7.1f%%\n\n", "total",
-              static_cast<unsigned long long>(TotQ),
-              static_cast<unsigned long long>(TotNo), "", "",
-              TotQ ? 100.0 * static_cast<double>(TotNo) /
-                         static_cast<double>(TotQ)
-                   : 0.0);
+  std::printf("%-16s %10llu %10llu %8s %8s %7.1f%% %8llu %10llu\n\n",
+              "total", static_cast<unsigned long long>(Tot.Queries),
+              static_cast<unsigned long long>(Tot.NoAlias), "", "",
+              Tot.Queries ? 100.0 * static_cast<double>(Tot.NoAlias) /
+                                static_cast<double>(Tot.Queries)
+                          : 0.0,
+              static_cast<unsigned long long>(Tot.Builds),
+              static_cast<unsigned long long>(Tot.StateCells));
 }
 
 double compileSeconds(const Workload &W, AuditLevel Audit, int Reps = 5) {

@@ -32,7 +32,7 @@ static void BM_CachedCollect(benchmark::State &State) {
   auto M = buildWorkload(W);
   ProfileCollector Collector(*M, rs6000());
   std::vector<RunOptions> Battery;
-  for (int64_t S = 1; S <= W.TrainScale; ++S)
+  for (int64_t S = 1; S <= 4; ++S)
     Battery.push_back(workloadInput(S));
   for (auto _ : State) {
     auto Counted = Collector.counts(Battery);

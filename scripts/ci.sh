@@ -13,7 +13,8 @@
 # (VSC_CHECK_ANALYSES=1). Finally each configuration runs the simulator
 # fast-path differential + oracle suites, the cost-model-vs-simulator
 # timing differential, and the alias-analysis/audit suites explicitly.
-# The default configuration also runs the benchmark's self-test.
+# The default configuration also runs the benchmark's self-test and checks
+# that bench_alias reproduces the committed BENCH_alias.json.
 #
 #   scripts/ci.sh [JOBS]
 #
@@ -183,6 +184,16 @@ run_config() {
 }
 
 run_config default "$ROOT/build"
+# Every field of BENCH_alias.json is deterministic (NoAlias rates, simulated
+# cycles, alias-analysis build counts), so a fresh bench_alias run must
+# reproduce the committed file byte for byte. The empty benchmark filter
+# skips the timed builds; only the table runs.
+echo "=== [default] BENCH_alias.json reproduces ==="
+tmp="$(mktemp -d)"
+"$ROOT/build/bench/bench_alias" --alias-out="$tmp/alias.json" \
+  --benchmark_filter='^$' > /dev/null
+cmp "$tmp/alias.json" "$ROOT/BENCH_alias.json"
+rm -rf "$tmp"
 # The benchmark (perfbench/) builds its own program against ../src, so a
 # src/ API change can break it without failing any step above. Its
 # self-test builds it into the git-ignored .bench_build and checks the

@@ -34,6 +34,8 @@ std::atomic<uint64_t> NumQueries{0};
 std::atomic<uint64_t> NumNoAlias{0};
 std::atomic<uint64_t> NumMustAlias{0};
 std::atomic<uint64_t> NumMayAlias{0};
+std::atomic<uint64_t> NumBuilds{0};
+std::atomic<uint64_t> NumStateCells{0};
 
 } // namespace
 
@@ -43,7 +45,14 @@ AliasQueryCounters vsc::aliasQueryCounters() {
   C.NoAlias = NumNoAlias.load(std::memory_order_relaxed);
   C.MustAlias = NumMustAlias.load(std::memory_order_relaxed);
   C.MayAlias = NumMayAlias.load(std::memory_order_relaxed);
+  C.Builds = NumBuilds.load(std::memory_order_relaxed);
+  C.StateCells = NumStateCells.load(std::memory_order_relaxed);
   return C;
+}
+
+void vsc::countAliasBuild(uint64_t StateCells) {
+  NumBuilds.fetch_add(1, std::memory_order_relaxed);
+  NumStateCells.fetch_add(StateCells, std::memory_order_relaxed);
 }
 
 void vsc::countAliasQuery(AliasResult R) {

@@ -146,14 +146,38 @@ bool memoryOrdered(const Instr &Earlier, const Instr &Later, AliasScope Scope,
 // Query accounting
 //===----------------------------------------------------------------------===//
 
-/// Process-wide disambiguation-query tallies, incremented by both tiers.
-/// PassAudit snapshots them at stage boundaries to attribute queries to
-/// passes; bench_alias reads them for resolution rates.
+/// Process-wide disambiguation tallies: queries, incremented by both
+/// tiers, and flow-sensitive analysis builds with the block-entry state
+/// cells (carried slots x reachable blocks) each build allocated.
+/// PassAudit snapshots them at stage boundaries to attribute them to
+/// passes; bench_alias reads them for resolution rates and build counts.
 struct AliasQueryCounters {
   uint64_t Queries = 0;
   uint64_t NoAlias = 0;
   uint64_t MustAlias = 0;
   uint64_t MayAlias = 0;
+  uint64_t Builds = 0;
+  uint64_t StateCells = 0;
+
+  AliasQueryCounters &operator+=(const AliasQueryCounters &O) {
+    Queries += O.Queries;
+    NoAlias += O.NoAlias;
+    MustAlias += O.MustAlias;
+    MayAlias += O.MayAlias;
+    Builds += O.Builds;
+    StateCells += O.StateCells;
+    return *this;
+  }
+  AliasQueryCounters operator-(const AliasQueryCounters &O) const {
+    AliasQueryCounters D;
+    D.Queries = Queries - O.Queries;
+    D.NoAlias = NoAlias - O.NoAlias;
+    D.MustAlias = MustAlias - O.MustAlias;
+    D.MayAlias = MayAlias - O.MayAlias;
+    D.Builds = Builds - O.Builds;
+    D.StateCells = StateCells - O.StateCells;
+    return D;
+  }
 };
 
 /// Snapshot of the process-wide counters (thread-safe).
@@ -162,6 +186,10 @@ AliasQueryCounters aliasQueryCounters();
 /// Adds one query with result \p R to the process-wide counters. Exposed
 /// for the flow-sensitive tier; ordinary callers just call alias().
 void countAliasQuery(AliasResult R);
+
+/// Adds one flow-sensitive analysis build that allocated \p StateCells
+/// block-entry state cells to the process-wide counters.
+void countAliasBuild(uint64_t StateCells);
 
 } // namespace vsc
 

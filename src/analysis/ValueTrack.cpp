@@ -54,6 +54,16 @@ AbsVal AliasAnalysis::join(const AbsVal &A, const AbsVal &B) {
   return R;
 }
 
+static AbsVal numbered(uint32_t Vn, bool Once) {
+  AbsVal V;
+  V.K = Base::Value;
+  V.Vn = Vn;
+  V.Once = Once;
+  V.HasOff = true;
+  V.Off = 0;
+  return V;
+}
+
 AbsVal AliasAnalysis::entryValue(Reg R) const {
   AbsVal V;
   if (R == regs::sp()) {
@@ -64,60 +74,24 @@ AbsVal AliasAnalysis::entryValue(Reg R) const {
     V.Off = 0;
     return V;
   }
-  // Live-in value: numbered by (entry, reg) — id 0 never collides with an
-  // instruction id (those start at 1). Entry values are set exactly once
-  // per invocation.
-  uint64_t Key = (uint64_t(0) << 32) |
-                 (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
-                 (R.id() & 0x3fffffffu);
-  auto It = ValueNumbers.find(Key);
-  V.K = Base::Value;
-  V.Once = true;
-  V.HasOff = true;
-  V.Off = 0;
-  if (It != ValueNumbers.end()) {
-    V.Vn = It->second;
+  // Live-in value, numbered by build() in first-read order. Entry values
+  // are set exactly once per invocation. Only pointsTo() asks about a
+  // register nothing reads; it gets Top.
+  uint32_t Vn = R.isGpr() && R.id() < EntryVn.size() ? EntryVn[R.id()] : 0;
+  if (!Vn) {
+    V.K = Base::Top;
     return V;
   }
-  // entryValue is called from const context during queries, but every
-  // reachable (reg, entry) pair was already interned during build(); an
-  // unseen pair can only come from pointsTo() on a register the function
-  // never touches. Report it as Top rather than minting state.
-  V.K = Base::Top;
-  V.Once = false;
-  V.HasOff = false;
-  return V;
-}
-
-AbsVal AliasAnalysis::freshValue(const Instr &I, Reg R, bool Once) {
-  uint64_t Key = (uint64_t(I.Id) << 32) |
-                 (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
-                 (R.id() & 0x3fffffffu);
-  auto [It, Fresh] = ValueNumbers.try_emplace(Key, NextVn);
-  if (Fresh) {
-    ++NextVn;
-    ValueOnce.push_back(Once);
-  }
-  uint64_t Vn = It->second;
-  AbsVal V;
-  V.K = Base::Value;
-  V.Vn = Vn;
-  V.Once = ValueOnce[Vn];
-  V.HasOff = true;
-  V.Off = 0;
-  return V;
+  return numbered(Vn, /*Once=*/true);
 }
 
 AbsVal AliasAnalysis::get(const AbsVal *S, Reg R) const {
   uint32_t Slot = slotOf(R);
   // A register without a slot is never written: it holds its entry value.
-  return Slot == NoSlot ? entryValue(R) : S[Slot];
-}
-
-void AliasAnalysis::set(AbsVal *S, Reg R, const AbsVal &V) const {
-  uint32_t Slot = slotOf(R);
-  assert(Slot != NoSlot && "write to a register build() gave no slot");
-  S[Slot] = V;
+  if (Slot == NoSlot)
+    return entryValue(R);
+  assert(Slot != Untracked && "transfers read only tracked registers");
+  return S[Slot];
 }
 
 uint32_t AliasAnalysis::intern(const std::string &Sym) {
@@ -134,63 +108,87 @@ uint32_t AliasAnalysis::intern(const std::string &Sym) {
 // Transfer function
 //===----------------------------------------------------------------------===//
 
-void AliasAnalysis::transfer(const Instr &I, AbsVal *S, bool Once) {
+bool AliasAnalysis::transfer(const Instr &I, AbsVal *S, bool Once) {
+  // Writes V into D's slot if D is tracked; \returns whether it did.
+  auto Put = [&](Reg D, const AbsVal &V) {
+    uint32_t Slot = slotOf(D);
+    if (Slot >= NumSlots)
+      return false;
+    S[Slot] = V;
+    return true;
+  };
+  auto Tracked = [&](Reg D) { return slotOf(D) < NumSlots; };
+  // The value of a site's single fresh def, minted on its first use.
+  auto Fresh = [&] {
+    uint32_t &Vn = SiteVn[I.Id];
+    if (!Vn)
+      Vn = NextVn++;
+    return numbered(Vn, Once);
+  };
+
   switch (I.Op) {
   case Opcode::LR:
-    if (I.Dst.isGpr())
-      set(S, I.Dst, get(S, I.Src1));
-    return;
+    // build() tracks a copy's source whenever it tracks the destination.
+    return Tracked(I.Dst) && Put(I.Dst, get(S, I.Src1));
   case Opcode::LTOC: {
+    if (!Tracked(I.Dst))
+      return false;
     AbsVal V;
     V.K = Base::Global;
     V.Sym = intern(I.Sym);
     V.HasOff = true;
     V.Off = 0;
-    set(S, I.Dst, V);
-    return;
+    return Put(I.Dst, V);
   }
   case Opcode::LA:
   case Opcode::AI:
-    set(S, I.Dst, addImm(get(S, I.Src1), I.Imm));
-    return;
+    return Tracked(I.Dst) && Put(I.Dst, addImm(get(S, I.Src1), I.Imm));
   case Opcode::SI:
-    set(S, I.Dst, addImm(get(S, I.Src1), -I.Imm));
-    return;
+    return Tracked(I.Dst) && Put(I.Dst, addImm(get(S, I.Src1), -I.Imm));
   case Opcode::A: {
     // Pointer + index: keep the region, lose the offset. Anything else
-    // (two pointers, two unknowns) is a fresh value.
+    // (two pointers, two unknowns) is a fresh value. Both sources are
+    // tracked, so the mint decision is replayed even when the result is
+    // not.
     AbsVal V1 = get(S, I.Src1);
     AbsVal V2 = get(S, I.Src2);
     bool P1 = V1.K == Base::Global || V1.K == Base::Stack;
     bool P2 = V2.K == Base::Global || V2.K == Base::Stack;
+    AbsVal R;
     if (P1 != P2) {
-      AbsVal R = P1 ? V1 : V2;
+      R = P1 ? V1 : V2;
       R.HasOff = false;
-      set(S, I.Dst, R);
     } else {
-      set(S, I.Dst, freshValue(I, I.Dst, Once));
+      R = Fresh();
     }
-    return;
+    Put(I.Dst, R);
+    return true;
   }
   case Opcode::LU: {
     // rt = mem[ra + d]; ra += d. The loaded value is fresh; the base
     // update is a tracked add-immediate.
-    Reg BaseReg = I.Src1;
-    AbsVal Updated = addImm(get(S, BaseReg), I.Imm);
-    set(S, I.Dst, freshValue(I, I.Dst, Once));
-    set(S, BaseReg, Updated);
-    return;
+    AbsVal Updated = addImm(get(S, I.Src1), I.Imm);
+    Put(I.Dst, Fresh());
+    return Put(I.Src1, Updated);
   }
   default:
     break;
   }
   // Everything else (arithmetic, loads, call clobbers, ...): each defined
-  // GPR gets a fresh value numbered by this site.
+  // GPR gets a fresh value numbered by this site, consecutively.
   DefBuf.clear();
   I.collectDefs(DefBuf);
+  uint32_t &First = SiteVn[I.Id];
+  uint32_t Vn = First ? First : NextVn;
+  bool Wrote = false;
   for (Reg D : DefBuf)
     if (D.isGpr())
-      set(S, D, freshValue(I, D, Once));
+      Wrote |= Put(D, numbered(Vn++, Once));
+  if (!First && Vn != NextVn) {
+    First = NextVn;
+    NextVn = Vn;
+  }
+  return Wrote;
 }
 
 //===----------------------------------------------------------------------===//
@@ -198,14 +196,14 @@ void AliasAnalysis::transfer(const Instr &I, AbsVal *S, bool Once) {
 //===----------------------------------------------------------------------===//
 
 bool AliasAnalysis::joinInto(size_t To, const AbsVal *Src) {
-  AbsVal *Dst = BlockIn.data() + To * NumSlots;
+  AbsVal *Dst = BlockIn.data() + To * NumCarried;
   if (!Reached[To]) {
-    std::copy(Src, Src + NumSlots, Dst);
+    std::copy(Src, Src + NumCarried, Dst);
     Reached[To] = true;
     return true;
   }
   bool Changed = false;
-  for (size_t S = 0; S != NumSlots; ++S) {
+  for (size_t S = 0; S != NumCarried; ++S) {
     AbsVal New = join(Dst[S], Src[S]);
     if (New != Dst[S]) {
       Dst[S] = New;
@@ -233,54 +231,119 @@ AliasAnalysis::AliasAnalysis(const Function &F) {
 void AliasAnalysis::build(const Function &F, const Cfg &G,
                           const LoopInfo &LI) {
   FnName = F.name();
-  ValueOnce.push_back(false); // value numbers start at 1
 
-  // One walk over the function: pre-intern the entry value of every
-  // register it reads (so get() never mints state from const context),
-  // give every GPR it writes a slot, and size the access table.
-  uint32_t MaxAccessId = 0;
+  // One walk over the function in block order. It numbers the entry
+  // value of every GPR read, first read first, and notes per GPR whether
+  // it is written and whether some block reads it before writing it. It
+  // seeds the tracked set with every memory base and both sources of
+  // every A, collects the copy-like edges (LR, LA, AI, SI: destination ->
+  // source), and sizes the per-id tables.
+  enum : uint8_t { Written = 1, Exposed = 2, Tracked = 4 };
+  std::vector<uint8_t> Flags;
+  std::vector<uint32_t> WrittenIn; // 1 + index of the last writing block
+  std::vector<uint32_t> Work;
+  std::vector<std::pair<uint32_t, uint32_t>> Copies;
+  auto Grow = [&](Reg R) {
+    if (R.id() >= Flags.size()) {
+      Flags.resize(R.id() + 1, 0);
+      WrittenIn.resize(R.id() + 1, 0);
+      EntryVn.resize(R.id() + 1, 0);
+    }
+  };
+  auto Seed = [&](Reg R) {
+    if (!R.isGpr())
+      return;
+    Grow(R);
+    if (!(Flags[R.id()] & Tracked)) {
+      Flags[R.id()] |= Tracked;
+      Work.push_back(R.id());
+    }
+  };
+  uint32_t MaxId = 0, MaxAccessId = 0, BlockNo = 0;
   bool AnyAccess = false;
   std::vector<Reg> Regs;
-  for (const auto &BB : F.blocks())
+  for (const auto &BB : F.blocks()) {
+    ++BlockNo;
     for (const Instr &I : BB->instrs()) {
+      MaxId = std::max(MaxId, I.Id);
       Regs.clear();
       I.collectUses(Regs);
-      for (Reg R : Regs)
-        if (R.isGpr() && R != regs::sp()) {
-          uint64_t Key =
-              (uint64_t(0) << 32) |
-              (uint64_t(static_cast<uint8_t>(R.regClass())) << 30) |
-              (R.id() & 0x3fffffffu);
-          if (ValueNumbers.try_emplace(Key, NextVn).second) {
-            ValueOnce.push_back(true);
-            ++NextVn;
-          }
-        }
-      Regs.clear();
-      I.collectDefs(Regs);
       for (Reg R : Regs) {
         if (!R.isGpr())
           continue;
-        if (R.id() >= SlotOfGpr.size())
-          SlotOfGpr.resize(R.id() + 1, NoSlot);
-        if (SlotOfGpr[R.id()] == NoSlot)
-          SlotOfGpr[R.id()] = static_cast<uint32_t>(NumSlots++);
+        Grow(R);
+        if (WrittenIn[R.id()] != BlockNo)
+          Flags[R.id()] |= Exposed;
+        if (R != regs::sp() && !EntryVn[R.id()])
+          EntryVn[R.id()] = NextVn++;
       }
+      Regs.clear();
+      I.collectDefs(Regs);
+      for (Reg R : Regs)
+        if (R.isGpr()) {
+          Grow(R);
+          Flags[R.id()] |= Written;
+          WrittenIn[R.id()] = BlockNo;
+        }
       if (I.isMemAccess()) {
+        Seed(I.memBase());
         MaxAccessId = std::max(MaxAccessId, I.Id);
         AnyAccess = true;
       }
+      switch (I.Op) {
+      case Opcode::A:
+        Seed(I.Src1);
+        Seed(I.Src2);
+        break;
+      case Opcode::LR:
+      case Opcode::LA:
+      case Opcode::AI:
+      case Opcode::SI:
+        if (I.Dst.isGpr() && I.Src1.isGpr())
+          Copies.emplace_back(I.Dst.id(), I.Src1.id());
+        break;
+      default:
+        break;
+      }
     }
+  }
   if (AnyAccess)
     Accesses.resize(size_t(MaxAccessId) + 1);
 
+  // Close the tracked set backwards through the copies: a tracked
+  // destination's value is its source's.
+  std::sort(Copies.begin(), Copies.end());
+  while (!Work.empty()) {
+    uint32_t R = Work.back();
+    Work.pop_back();
+    for (auto It = std::lower_bound(Copies.begin(), Copies.end(),
+                                    std::make_pair(R, 0u));
+         It != Copies.end() && It->first == R; ++It)
+      Seed(Reg::gpr(It->second));
+  }
+
+  // Slots: carried registers first, so a block-entry state is a prefix
+  // of the walk state; then the other written tracked registers.
+  const uint8_t Carried = Written | Exposed | Tracked;
+  SlotOfGpr.assign(Flags.size(), NoSlot);
+  for (uint32_t Id = 0; Id != Flags.size(); ++Id)
+    if ((Flags[Id] & Carried) == Carried)
+      SlotOfGpr[Id] = static_cast<uint32_t>(NumCarried++);
+  NumSlots = NumCarried;
+  for (uint32_t Id = 0; Id != Flags.size(); ++Id)
+    if ((Flags[Id] & Written) && SlotOfGpr[Id] == NoSlot)
+      SlotOfGpr[Id] = (Flags[Id] & Tracked)
+                          ? static_cast<uint32_t>(NumSlots++)
+                          : Untracked;
+
   const std::vector<BasicBlock *> &Rpo = G.rpo();
+  size_t NumBlocks = Rpo.size();
+  countAliasBuild(NumCarried * NumBlocks);
   if (Rpo.empty())
     return;
 
   // The CFG in reverse-postorder positions: per block its loop-freedom
   // and its successors' positions (flattened, SuccBegin-delimited).
-  size_t NumBlocks = Rpo.size();
   std::vector<uint8_t> OnceAt(NumBlocks);
   std::vector<uint32_t> SuccBegin(NumBlocks + 1, 0), Succs;
   for (size_t B = 0; B != NumBlocks; ++B) {
@@ -290,31 +353,51 @@ void AliasAnalysis::build(const Function &F, const Cfg &G,
     SuccBegin[B + 1] = static_cast<uint32_t>(Succs.size());
   }
 
-  // Entry: every register at its entry value.
+  // Entry: every carried register at its entry value.
+  SiteVn.assign(size_t(MaxId) + 1, 0);
   std::vector<AbsVal> Slots(NumSlots);
+  BlockIn.resize(NumBlocks * NumCarried);
   for (uint32_t Id = 0; Id != SlotOfGpr.size(); ++Id)
-    if (SlotOfGpr[Id] != NoSlot)
-      Slots[SlotOfGpr[Id]] = entryValue(Reg::gpr(Id));
-  BlockIn.resize(NumBlocks * NumSlots);
+    if (SlotOfGpr[Id] < NumCarried)
+      BlockIn[SlotOfGpr[Id]] = entryValue(Reg::gpr(Id));
   Reached.assign(NumBlocks, 0);
-  std::copy(Slots.begin(), Slots.end(), BlockIn.begin());
   Reached[0] = true;
 
-  // Round-robin over reverse postorder until stable. The lattice is
-  // shallow (Bottom < concrete < region+⊤ < Top per register) and value
-  // numbers are memoized by defining site, so this converges quickly.
-  // Slots doubles as the out-state buffer.
+  // Round-robin over reverse postorder until the carried slots are
+  // stable. The lattice is shallow (Bottom < concrete < region+⊤ < Top
+  // per register) and value numbers are memoized by defining site, so
+  // this converges quickly. Round one walks every reachable block (each
+  // has a predecessor earlier in reverse postorder) and transfers every
+  // instruction, so every site mints its value numbers in first-visit
+  // order, whether or not it defines a tracked register. Later visits
+  // replay only the block's steps: the instructions that write a tracked
+  // register, every A (its mint decision may change) and the memory
+  // accesses the recording walk resolves. A tracked slot reads only
+  // tracked slots, so the facts equal those of a dataflow that tracks
+  // every register; once the carried slots are stable, a further round
+  // would repeat this one and mint nothing. Slots doubles as the
+  // out-state buffer.
+  std::vector<const Instr *> Steps;
+  std::vector<uint32_t> StepBegin(NumBlocks, 0), StepEnd(NumBlocks, 0);
   bool Changed = true;
   unsigned Guard = 0;
-  while (Changed && Guard++ < 64) {
+  for (; Changed && Guard < 64; ++Guard) {
     Changed = false;
     for (size_t B = 0; B != NumBlocks; ++B) {
       if (!Reached[B])
         continue;
-      const AbsVal *In = BlockIn.data() + B * NumSlots;
-      std::copy(In, In + NumSlots, Slots.begin());
-      for (const Instr &I : Rpo[B]->instrs())
-        transfer(I, Slots.data(), OnceAt[B]);
+      const AbsVal *In = BlockIn.data() + B * NumCarried;
+      std::copy(In, In + NumCarried, Slots.begin());
+      if (Guard == 0) {
+        StepBegin[B] = static_cast<uint32_t>(Steps.size());
+        for (const Instr &I : Rpo[B]->instrs())
+          if (transfer(I, Slots.data(), OnceAt[B]) || I.isMemAccess())
+            Steps.push_back(&I);
+        StepEnd[B] = static_cast<uint32_t>(Steps.size());
+      } else {
+        for (uint32_t K = StepBegin[B]; K != StepEnd[B]; ++K)
+          transfer(*Steps[K], Slots.data(), OnceAt[B]);
+      }
       for (uint32_t E = SuccBegin[B]; E != SuccBegin[B + 1]; ++E)
         if (joinInto(Succs[E], Slots.data()))
           Changed = true;
@@ -328,9 +411,10 @@ void AliasAnalysis::build(const Function &F, const Cfg &G,
     RpoOfLabel.emplace(Rpo[B]->label(), static_cast<uint32_t>(B));
     if (!Reached[B])
       continue;
-    const AbsVal *In = BlockIn.data() + B * NumSlots;
-    std::copy(In, In + NumSlots, Slots.begin());
-    for (const Instr &I : Rpo[B]->instrs()) {
+    const AbsVal *In = BlockIn.data() + B * NumCarried;
+    std::copy(In, In + NumCarried, Slots.begin());
+    for (uint32_t K = StepBegin[B]; K != StepEnd[B]; ++K) {
+      const Instr &I = *Steps[K];
       if (I.isMemAccess()) {
         AbsVal L = addImm(get(Slots.data(), I.memBase()), I.memDisp());
         assert(L.K != Base::Bottom && "reached states never hold Bottom");
@@ -339,16 +423,19 @@ void AliasAnalysis::build(const Function &F, const Cfg &G,
       transfer(I, Slots.data(), OnceAt[B]);
     }
   }
+  SiteVn = {};
 }
 
 AbsVal AliasAnalysis::pointsTo(Reg R, const BasicBlock *BB) const {
   auto It = RpoOfLabel.find(BB->label());
-  if (It == RpoOfLabel.end() || !Reached[It->second]) {
+  uint32_t Slot = slotOf(R);
+  if (It == RpoOfLabel.end() || !Reached[It->second] ||
+      (Slot != NoSlot && Slot >= NumCarried)) {
     AbsVal T;
     T.K = Base::Top;
     return T;
   }
-  return get(BlockIn.data() + It->second * NumSlots, R);
+  return get(BlockIn.data() + It->second * NumCarried, R);
 }
 
 //===----------------------------------------------------------------------===//

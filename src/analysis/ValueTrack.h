@@ -40,10 +40,19 @@
 /// therefore position-independent: any instruction copy that preserves
 /// the id (block probes, audit snapshots) can be queried.
 ///
-/// States are dense: every GPR the function writes gets a slot, a state
-/// is one AbsVal per slot, and the block-entry states sit in one flat
-/// array indexed by reverse-postorder position. A register without a
-/// slot holds its entry value everywhere.
+/// States are sparse. Only address registers are tracked: the base of
+/// every memory access, both sources of every A (its mint decision reads
+/// them), and whatever reaches those through LR, LA, AI, SI and the LU
+/// base update. A tracked register that some block reads before writing
+/// is *carried*: it gets a slot in the block-entry states, which sit in
+/// one flat array indexed by reverse-postorder position. Every other
+/// tracked register is written before it is read in each block, so it
+/// lives in a scratch slot of the walk that is never copied or joined.
+/// Untracked registers get no storage, and a register the function never
+/// writes holds its entry value everywhere. Every def site still mints
+/// its value number, in first-visit order, whether or not it defines a
+/// tracked register, so the labels summarize() and str() print do not
+/// depend on which registers are tracked.
 ///
 /// Every NoAlias verdict is tagged with the AliasClaimKind window it is
 /// claimed over and, when a claim sink is installed (the pipeline's
@@ -145,8 +154,10 @@ public:
     return &Accesses[Id];
   }
 
-  /// Abstract value of \p R at entry to \p BB — the pointsTo query.
-  /// Unreachable blocks report Top.
+  /// Abstract value of \p R at entry to \p BB — the pointsTo query. Exact
+  /// for carried registers (see the file comment) and for registers the
+  /// function never writes; any other register, and every register of an
+  /// unreachable block, reports Top, which is sound.
   AbsVal pointsTo(Reg R, const BasicBlock *BB) const;
 
   /// Relates two memory accesses of this function under \p Scope: lattice
@@ -169,19 +180,23 @@ public:
   std::string summarize() const;
 
 private:
-  static constexpr uint32_t NoSlot = ~0u;
+  /// slotOf() codes for registers that own no slot.
+  static constexpr uint32_t NoSlot = ~0u;        ///< never written
+  static constexpr uint32_t Untracked = ~0u - 1; ///< written, no address
 
   void build(const Function &F, const Cfg &G, const LoopInfo &LI);
   uint32_t slotOf(Reg R) const {
     return R.isGpr() && R.id() < SlotOfGpr.size() ? SlotOfGpr[R.id()]
                                                    : NoSlot;
   }
-  /// \p S points at one state: an AbsVal per slot.
+  /// \p S points at one walk state: the carried slots, then the scratch
+  /// slots of the other tracked registers.
   AbsVal get(const AbsVal *S, Reg R) const;
-  void set(AbsVal *S, Reg R, const AbsVal &V) const;
   AbsVal entryValue(Reg R) const;
-  AbsVal freshValue(const Instr &I, Reg R, bool Once);
-  void transfer(const Instr &I, AbsVal *S, bool Once);
+  /// Applies \p I to \p S, minting its value numbers on the first visit.
+  /// \returns true if \p I writes a tracked register or is an A, the
+  /// instructions a revisit of its block has to replay.
+  bool transfer(const Instr &I, AbsVal *S, bool Once);
   static AbsVal addImm(AbsVal V, int64_t Imm);
   static AbsVal join(const AbsVal &A, const AbsVal &B);
   /// Joins \p Src into the entry state of reverse-postorder block \p To.
@@ -196,19 +211,22 @@ private:
   std::string FnName;
   std::vector<std::string> Syms;
   std::unordered_map<std::string, uint32_t> SymIndex;
-  /// (defining instruction id, register) -> value number. Entry live-ins
-  /// use id 0 (instruction ids start at 1).
-  std::unordered_map<uint64_t, uint64_t> ValueNumbers;
-  /// Per value number: its defining site runs at most once per invocation.
-  std::vector<uint8_t> ValueOnce;
-  uint64_t NextVn = 1;
-  /// Slot of each written GPR, indexed by register id (NoSlot otherwise).
+  /// Live-in value number per GPR id; 0 for a register nothing reads.
+  std::vector<uint32_t> EntryVn;
+  /// During build(): the first value number each def site (instruction
+  /// id) minted, 0 before its first mint. A site's GPR defs take
+  /// consecutive numbers.
+  std::vector<uint32_t> SiteVn;
+  uint32_t NextVn = 1;
+  /// Per GPR id: a carried slot (< NumCarried), a scratch slot
+  /// (< NumSlots), Untracked, or NoSlot.
   std::vector<uint32_t> SlotOfGpr;
+  size_t NumCarried = 0;
   size_t NumSlots = 0;
   /// Resolved location per memory-access instruction id; Bottom marks an
   /// id that is no recorded access (reached states never hold Bottom).
   std::vector<AbsVal> Accesses;
-  /// Block-entry states, NumSlots values per reverse-postorder position,
+  /// Block-entry states, NumCarried values per reverse-postorder position,
   /// and which positions the fixpoint reached.
   std::vector<AbsVal> BlockIn;
   std::vector<uint8_t> Reached;

@@ -180,22 +180,14 @@ void PassAudit::chargeAliasQueries(const std::string &Stage) {
   // Everything queried since the previous checkpoint finished belongs to
   // the stage that just ran; the re-snapshot at the end of each checkpoint
   // keeps the audit's own speculation-safety queries out of the ledger.
-  AliasQueryCounters Now = aliasQueryCounters();
-  AliasQueryCounters Delta;
-  Delta.Queries = Now.Queries - AliasSnap.Queries;
-  Delta.NoAlias = Now.NoAlias - AliasSnap.NoAlias;
-  Delta.MustAlias = Now.MustAlias - AliasSnap.MustAlias;
-  Delta.MayAlias = Now.MayAlias - AliasSnap.MayAlias;
-  if (Delta.Queries == 0)
+  AliasQueryCounters Delta = aliasQueryCounters() - AliasSnap;
+  if (Delta.Queries == 0 && Delta.Builds == 0)
     return;
   std::string Name = Stage.substr(0, Stage.find('('));
   for (auto &E : QueryLog) {
     if (E.first != Name)
       continue;
-    E.second.Queries += Delta.Queries;
-    E.second.NoAlias += Delta.NoAlias;
-    E.second.MustAlias += Delta.MustAlias;
-    E.second.MayAlias += Delta.MayAlias;
+    E.second += Delta;
     return;
   }
   QueryLog.emplace_back(Name, Delta);

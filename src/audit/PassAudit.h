@@ -71,9 +71,10 @@ public:
   AuditResult checkpointFunction(const Function &F, const Module &M,
                                  const std::string &Stage);
 
-  /// Disambiguation queries attributed to each pipeline stage: the delta
-  /// of the process-wide counters (analysis/MemAlias.h) between
-  /// checkpoints, charged to the stage that just ran. Per-function stage
+  /// Disambiguation queries and flow-sensitive analysis builds attributed
+  /// to each pipeline stage: the delta of the process-wide counters
+  /// (analysis/MemAlias.h) between checkpoints, charged to the stage that
+  /// just ran. Per-function stage
   /// names "pass(fn)" are merged under the bare pass name; the audit's own
   /// queries (speculation-safety checking) are excluded by re-snapshotting
   /// after each checkpoint's checkers finish.

@@ -500,6 +500,28 @@ bool vsc::classicalLicm(Function &F) {
 // Pipeline
 //===----------------------------------------------------------------------===//
 
+/// \returns true if localValueNumbering would ask the flow tier an alias
+/// query in \p F: some LVN-candidate load has a store after the last call
+/// before it in its block. Otherwise each load's flow epoch is the position
+/// of that call, and two loads of a block share it exactly when no store
+/// or call separates them, which is when their syntactic epochs agree. So
+/// LVN without the analysis finds the same value numbers.
+static bool lvnQueriesAlias(const Function &F) {
+  for (const auto &BB : F.blocks()) {
+    bool StoreSinceCall = false;
+    for (const Instr &I : BB->instrs()) {
+      if (I.isCall())
+        StoreSinceCall = false;
+      else if (I.isStore())
+        StoreSinceCall = true;
+      else if (StoreSinceCall && I.isLoad() && isLvnCandidate(I) &&
+               I.Dst.isGpr())
+        return true;
+    }
+  }
+  return false;
+}
+
 bool vsc::runClassicalPipeline(Function &F, FunctionAnalyses &FA,
                                bool FlowAlias) {
   bool Any = false;
@@ -511,11 +533,15 @@ bool vsc::runClassicalPipeline(Function &F, FunctionAnalyses &FA,
       FA.invalidate(PreservedAnalyses::structure());
       Changed = true;
     }
-    // Fetch alias facts only after copy propagation invalidated them: LVN
-    // must query the function it is about to walk. Its own load->LR
-    // rewrites keep the facts valid mid-walk (the copy writes the same
-    // value the load produced).
-    if (localValueNumbering(F, FlowAlias ? &FA.aliasAnalysis() : nullptr)) {
+    // Fetch alias facts only after copy propagation invalidated them, and
+    // only if LVN will query them: it must query the function it is about
+    // to walk. Its own load->LR rewrites keep the facts valid mid-walk (the
+    // copy writes the same value the load produced), but facts built
+    // mid-walk would number those copies differently, so the decision is
+    // made up front.
+    const AliasAnalysis *AA =
+        FlowAlias && lvnQueriesAlias(F) ? &FA.aliasAnalysis() : nullptr;
+    if (localValueNumbering(F, AA)) {
       FA.invalidate(PreservedAnalyses::structure());
       Changed = true;
     }

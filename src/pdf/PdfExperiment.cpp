@@ -30,9 +30,13 @@ PdfFeedback vsc::collectPdfFeedback(const Module &Source,
     if (F.Error.empty())
       F.Feedback = F.Profile.toProfileData();
   } else {
-    ProfileCollector Collector(Source, Opt.Machine);
-    F.Feedback =
-        Collector.profileFor(*CounterTarget, Opt.Train, Opt.Threads, &F.Error);
+    // Release the collector (its instrumented clone and 4 MB simulator
+    // memory) before the expansion: what is allocated while that memory is
+    // live can pin it in the heap once it is freed, and the expansion and
+    // the guided compile after it allocate a lot.
+    std::unordered_map<std::string, uint64_t> Counted =
+        ProfileCollector(Source, Opt.Machine).counts(Opt.Train, Opt.Threads);
+    F.Error = ProfileCollector::expand(*CounterTarget, Counted, F.Feedback);
   }
   return F;
 }

@@ -463,15 +463,3 @@ std::string ProfileCollector::expand(
   }
   return FirstErr;
 }
-
-ProfileData ProfileCollector::profileFor(Module &Target,
-                                         const std::vector<RunOptions>
-                                             &Battery,
-                                         unsigned Threads,
-                                         std::string *Err) {
-  ProfileData P;
-  std::string E = expand(Target, counts(Battery, Threads), P);
-  if (!E.empty() && Err && Err->empty())
-    *Err = E;
-  return P;
-}

@@ -112,11 +112,6 @@ public:
                                 &Counted,
                             ProfileData &Out);
 
-  /// counts() + expand() over a battery: the full cached two-pass scheme.
-  ProfileData profileFor(Module &Target,
-                         const std::vector<RunOptions> &Battery,
-                         unsigned Threads = 0, std::string *Err = nullptr);
-
 private:
   std::unique_ptr<Module> Instrumented;
   Instrumentation Info;

@@ -388,7 +388,9 @@ bool coalesceOnce(Function &F, const Cfg &G, const Liveness &Live) {
 /// register would be wrong for out-of-range values. The load becomes an
 /// LR the combining walk then collapses. \returns true on a rewrite.
 bool forwardStoreToLoadOnce(Function &F, const Cfg &G,
-                            const AliasAnalysis *AA) {
+                            FunctionAnalyses &FA) {
+  // Built at the first query: nothing changes the function before it.
+  const AliasAnalysis *AA = nullptr;
   std::vector<Reg> Tmp;
   for (auto &BBPtr : F.blocks()) {
     BasicBlock *BB = BBPtr.get();
@@ -412,6 +414,8 @@ bool forwardStoreToLoadOnce(Function &F, const Cfg &G,
           AliasScope Scope = AliasScope::CrossExecution;
           if (St.memBase() == Ld.memBase() && !Between.count(Ld.memBase()))
             Scope = AliasScope::SameExecution;
+          if (!AA)
+            AA = &FA.aliasAnalysis();
           AliasResult R = AA->alias(St, Ld, Scope);
           if (R == AliasResult::MustAlias) {
             if (St.MemSize == 8 && !St.IsVolatile && St.Src1.isGpr() &&
@@ -470,7 +474,7 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
     // Alias facts only where a query follows: nothing above changed the
     // function this round, so they describe the code the round began with.
     if (!Changed && Opts.FlowAlias)
-      Changed = forwardStoreToLoadOnce(F, G, &FA.aliasAnalysis());
+      Changed = forwardStoreToLoadOnce(F, G, FA);
     if (!Changed)
       break;
     FA.invalidateAll();

@@ -374,10 +374,7 @@ void vsc::optimize(Module &M, OptLevel L, const PipelineOptions &Opts) {
         Opts.Stats->AliasQueriesByStage.push_back(E);
         continue;
       }
-      It->second.Queries += E.second.Queries;
-      It->second.NoAlias += E.second.NoAlias;
-      It->second.MustAlias += E.second.MustAlias;
-      It->second.MayAlias += E.second.MayAlias;
+      It->second += E.second;
     }
   }
 }

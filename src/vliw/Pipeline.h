@@ -51,7 +51,7 @@ struct PipelineStats {
   /// (scripts/ci.sh checks pdf_workflow against vscc); pdfLayoutName
   /// spells it.
   int PdfLayoutKept = -1;
-  /// Per-stage disambiguation-query deltas (analysis/MemAlias.h counters,
+  /// Per-stage alias query and build deltas (analysis/MemAlias.h counters,
   /// snapshotted by the PassAudit checkpoints — empty unless Audit is
   /// enabled). Per-function checkpoint names "pass(fn)" are merged under
   /// the bare pass name; bench_audit_overhead prints the table.

@@ -35,8 +35,10 @@ bool isPushable(const Instr &I) {
 /// The paper's rule 2: no instruction between the candidate and the branch
 /// (inclusive of the terminator suffix) may set the candidate's sources or
 /// destinations, use its destinations, or store over a loaded location.
+/// \p AA fetches the flow tier, or returns null for the syntactic one.
+template <typename AliasFn>
 bool betweenInstrsAllowMove(const BasicBlock &BB, size_t CandIdx,
-                            const Instr &Cand, const AliasAnalysis *AA) {
+                            const Instr &Cand, AliasFn &&AA) {
   std::vector<Reg> CandUses, CandDefs, Tmp;
   Cand.collectUses(CandUses);
   Cand.collectDefs(CandDefs);
@@ -60,13 +62,17 @@ bool betweenInstrsAllowMove(const BasicBlock &BB, size_t CandIdx,
     // even for the syntactic tier: rule 2a has already rejected any
     // in-between def of the candidate's sources (its base register
     // included), so no shared base is redefined between the two accesses.
-    if (Cand.isLoad() &&
-        (Between.isCall() ||
-         (Between.isStore() &&
-          (AA ? AA->alias(Cand, Between, AliasScope::SameExecution)
-              : alias(Cand, Between, AliasScope::SameExecution)) !=
-              AliasResult::NoAlias)))
+    if (!Cand.isLoad())
+      continue;
+    if (Between.isCall())
       return false;
+    if (Between.isStore()) {
+      const AliasAnalysis *Flow = AA();
+      if ((Flow ? Flow->alias(Cand, Between, AliasScope::SameExecution)
+                : alias(Cand, Between, AliasScope::SameExecution)) !=
+          AliasResult::NoAlias)
+        return false;
+    }
   }
   return true;
 }
@@ -74,11 +80,18 @@ bool betweenInstrsAllowMove(const BasicBlock &BB, size_t CandIdx,
 /// One unspeculation step: finds the first legal move and performs it.
 /// \returns true if something moved. Every move ends in splitEdge, whose
 /// block insertion bumps the CFG epoch, so the cache refreshes itself on
-/// the next fetch; a fruitless scan leaves the cache warm.
+/// the next fetch; a fruitless scan leaves the cache warm. The flow tier
+/// is fetched at the first alias query: nothing moves before the step's
+/// single move.
 bool unspeculateOnce(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
   const Cfg &G = FA.cfg();
   const Liveness &L = FA.liveness();
-  const AliasAnalysis *AA = FlowAlias ? &FA.aliasAnalysis() : nullptr;
+  const AliasAnalysis *Flow = nullptr;
+  auto AA = [&]() -> const AliasAnalysis * {
+    if (FlowAlias && !Flow)
+      Flow = &FA.aliasAnalysis();
+    return Flow;
+  };
 
   for (auto &BBPtr : F.blocks()) {
     BasicBlock *BB = BBPtr.get();

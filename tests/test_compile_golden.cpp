@@ -18,6 +18,13 @@
 ///    and hoisting do most of their work, far past the kernels' 130-420
 ///    instructions per function.
 ///
+/// Emitted bytes only show the alias facts some pass acted on. So the
+/// kernel matrix and the large-block programs also freeze a digest of
+/// every fact a fresh AliasAnalysis states about each module they
+/// compile, and about the front-end module they start from: summarize(),
+/// the verdict of every access pair under both scopes, and
+/// safeSpeculativeLoad of every load.
+///
 /// A change that moves any of these bytes has to update the tables on
 /// purpose. On a mismatch each test prints its whole actual table in the
 /// initializer syntax used below.
@@ -25,6 +32,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "analysis/ValueTrack.h"
 #include "frontend/Frontend.h"
 #include "pdf/PdfExperiment.h"
 #include "profile/Counters.h"
@@ -46,6 +54,15 @@ const char *const Machines[] = {"rs6000", "power2", "ppc601"};
 struct MatrixRow {
   const char *Kernel;
   uint64_t Classical[3]; ///< per Machines entry
+  uint64_t Vliw[3];
+};
+
+/// Alias-fact digests (aliasFacts) of the front-end module and of each
+/// compiled cell, per Machines entry.
+struct AliasRow {
+  const char *Kernel;
+  uint64_t FrontEnd;
+  uint64_t Classical[3];
   uint64_t Vliw[3];
 };
 
@@ -114,6 +131,64 @@ const MatrixRow GoldenLargeBlocks[] = {
     {"branchy.40",
      {0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad},
      {0x8f5a7bf0736791e2, 0x12a95ddf39acf700, 0xa67eacff3210c254}},
+};
+
+const AliasRow GoldenKernelAliasFacts[] = {
+    {"espresso",
+     0x0fd0a3581008612d,
+     {0x942ce38511d8ea90, 0x942ce38511d8ea90, 0x942ce38511d8ea90},
+     {0x0b26639fc009f663, 0xd46eb5fa3ec055d7, 0x298d4f7ea7c5d252}},
+    {"li",
+     0x2b7158209001165a,
+     {0xb3228c476224bc93, 0xb3228c476224bc93, 0xb3228c476224bc93},
+     {0x29a6ba69400ffab2, 0xebbbe69cd55aaa32, 0x5f6ff2181c452406}},
+    {"eqntott",
+     0x22f73a7f0d63363a,
+     {0x72fe1437089e3941, 0x72fe1437089e3941, 0x72fe1437089e3941},
+     {0x97bcc216a8533360, 0xc681293ed48ebe18, 0x99be786d92bd025f}},
+    {"compress",
+     0x96c35a74093eef6a,
+     {0xb2e06e2c6167e6f7, 0xb2e06e2c6167e6f7, 0xb2e06e2c6167e6f7},
+     {0x77366d319a50bd1d, 0xc662dd1eae7945a2, 0x9dabf39f2faf48a7}},
+    {"sc",
+     0x0f142d459b1d5926,
+     {0x772481e07a310a29, 0x772481e07a310a29, 0x772481e07a310a29},
+     {0x8afe08a58d73425c, 0x2817f39e870bb040, 0x5d3889aad00e254b}},
+    {"gcc",
+     0x159c1a9a10dbb875,
+     {0xfc01fff3e5da675f, 0xfc01fff3e5da675f, 0xfc01fff3e5da675f},
+     {0x4d0e8e45788c003d, 0x7f5a2df82c04c5f8, 0xeef43eb5ca33e6bb}},
+    {"hashagg",
+     0x37d86dccdd74f012,
+     {0x8a815c22aaff7d57, 0x8a815c22aaff7d57, 0x8a815c22aaff7d57},
+     {0x94eb9fa274159bb4, 0x900e2f924181f409, 0x3e01cc74299b85ea}},
+    {"filter",
+     0x261738608c0e1920,
+     {0x1bb5da1f4594cfaf, 0x1bb5da1f4594cfaf, 0x1bb5da1f4594cfaf},
+     {0x07b0e339e4e6e961, 0xaf5e5ad87bd5abc3, 0xa981b8a3d9c0c956}},
+    {"chase",
+     0x8222e675a54ca22c,
+     {0xc5c664f58cec262f, 0xc5c664f58cec262f, 0xc5c664f58cec262f},
+     {0x97230f645a4f9f24, 0x70ad6da0d34383dd, 0x52e29795dc40f14f}},
+    {"interp",
+     0xd4e0890f9af6d93b,
+     {0x243338b7b9219433, 0x243338b7b9219433, 0x243338b7b9219433},
+     {0xfffbae638af7869d, 0x17cdc3a20833127b, 0x83c87552ef5f2529}},
+    {"interp_tc",
+     0xb47d19f4460e5acc,
+     {0x4eb40e002f4b3d03, 0x4eb40e002f4b3d03, 0x4eb40e002f4b3d03},
+     {0xd03d3dd5aaeafb9d, 0xbae3955bdfd63719, 0x61cc89f20039359a}},
+};
+
+const AliasRow GoldenLargeBlockAliasFacts[] = {
+    {"straight.160",
+     0x1e99f3eba3961b9f,
+     {0xccc869ae7fdb6b6b, 0xccc869ae7fdb6b6b, 0xccc869ae7fdb6b6b},
+     {0xdf567d46a8e0cc51, 0x00a1f29850ca9d87, 0x51e139d5b3444dc8}},
+    {"branchy.40",
+     0x88e4699ffa9c5d68,
+     {0xa855ceaec59aff82, 0xa855ceaec59aff82, 0xa855ceaec59aff82},
+     {0x730d36085b2370e7, 0x79ae927920aa23a5, 0x9a9c2a892dded5d1}},
 };
 
 /// splitmix64, so a seed gives the same program on every platform.
@@ -212,6 +287,36 @@ uint64_t digest(const Module &M) {
   return fnv1aBytes(Text.data(), Text.size());
 }
 
+/// FNV-1a digest of every fact a fresh AliasAnalysis states about \p M:
+/// per function its summarize() line, the verdict of every pair of memory
+/// accesses under both scopes, and whether each load may be speculated.
+uint64_t aliasFacts(const Module &M) {
+  std::string Facts;
+  std::vector<const Instr *> Accs;
+  for (const auto &F : M.functions()) {
+    if (F->blocks().empty())
+      continue;
+    AliasAnalysis AA(*F);
+    Facts += F->name() + ":" + AA.summarize() + "\n";
+    Accs.clear();
+    for (const auto &BB : F->blocks())
+      for (const Instr &I : BB->instrs())
+        if (I.isMemAccess())
+          Accs.push_back(&I);
+    for (size_t A = 0; A != Accs.size(); ++A) {
+      for (size_t B = A + 1; B != Accs.size(); ++B)
+        for (AliasScope S :
+             {AliasScope::SameExecution, AliasScope::CrossExecution})
+          Facts += static_cast<char>(
+              '0' + static_cast<int>(AA.alias(*Accs[A], *Accs[B], S)));
+      if (Accs[A]->isLoad())
+        Facts += AA.safeSpeculativeLoad(*Accs[A], &M) ? 's' : 'u';
+    }
+    Facts += "\n";
+  }
+  return fnv1aBytes(Facts.data(), Facts.size());
+}
+
 std::string hex(uint64_t V) {
   char Buf[24];
   std::snprintf(Buf, sizeof(Buf), "0x%016" PRIx64, V);
@@ -220,6 +325,17 @@ std::string hex(uint64_t V) {
 
 std::string render(const MatrixRow &R) {
   std::string S = std::string("    {\"") + R.Kernel + "\",\n     {";
+  for (size_t I = 0; I != 3; ++I)
+    S += (I ? ", " : "") + hex(R.Classical[I]);
+  S += "},\n     {";
+  for (size_t I = 0; I != 3; ++I)
+    S += (I ? ", " : "") + hex(R.Vliw[I]);
+  return S + "}},\n";
+}
+
+std::string render(const AliasRow &R) {
+  std::string S = std::string("    {\"") + R.Kernel + "\",\n     " +
+                  hex(R.FrontEnd) + ",\n     {";
   for (size_t I = 0; I != 3; ++I)
     S += (I ? ", " : "") + hex(R.Classical[I]);
   S += "},\n     {";
@@ -241,27 +357,41 @@ template <typename Row, size_t N> std::string render(const Row (&Rows)[N]) {
   return S;
 }
 
+/// Compiles \p M at both levels on each machine into \p Row and \p Facts.
+void compileCells(const Module &M, MatrixRow &Row, AliasRow &Facts) {
+  Facts.FrontEnd = aliasFacts(M);
+  for (size_t MI = 0; MI != 3; ++MI) {
+    PipelineOptions PO;
+    PO.Machine = *findMachine(Machines[MI]);
+    PO.Threads = 1;
+    auto C = optimizedClone(M, OptLevel::Classical, PO);
+    Row.Classical[MI] = digest(*C);
+    Facts.Classical[MI] = aliasFacts(*C);
+    auto V = optimizedClone(M, OptLevel::Vliw, PO);
+    Row.Vliw[MI] = digest(*V);
+    Facts.Vliw[MI] = aliasFacts(*V);
+  }
+}
+
 } // namespace
 
 TEST(CompileGolden, KernelMatrixDigests) {
-  std::string Actual;
+  std::string Actual, ActualFacts;
   for (const Workload &W : workloads::allKernels()) {
     auto M = buildWorkload(W);
     ASSERT_TRUE(M) << W.Name;
     MatrixRow Row{W.Name.c_str(), {}, {}};
-    for (size_t MI = 0; MI != 3; ++MI) {
-      PipelineOptions PO;
-      PO.Machine = *findMachine(Machines[MI]);
-      PO.Threads = 1;
-      Row.Classical[MI] =
-          digest(*optimizedClone(*M, OptLevel::Classical, PO));
-      Row.Vliw[MI] = digest(*optimizedClone(*M, OptLevel::Vliw, PO));
-    }
+    AliasRow Facts{W.Name.c_str(), 0, {}, {}};
+    compileCells(*M, Row, Facts);
     Actual += render(Row);
+    ActualFacts += render(Facts);
   }
   EXPECT_TRUE(Actual == render(GoldenMatrix))
       << "compiled output moved; actual GoldenMatrix table:\n"
       << Actual;
+  EXPECT_TRUE(ActualFacts == render(GoldenKernelAliasFacts))
+      << "alias facts moved; actual GoldenKernelAliasFacts table:\n"
+      << ActualFacts;
 }
 
 TEST(CompileGolden, PdfModuleDigestsAndCycles) {
@@ -301,7 +431,7 @@ TEST(CompileGolden, LargeBlockDigests) {
   };
   const Program Programs[] = {{"straight.160", 160, false, 7},
                               {"branchy.40", 40, true, 11}};
-  std::string Actual;
+  std::string Actual, ActualFacts;
   for (const Program &P : Programs) {
     FrontendOptions FO;
     FO.AssumeSafeLoads = true;
@@ -309,17 +439,15 @@ TEST(CompileGolden, LargeBlockDigests) {
         compileMiniC(largeLoopProgram(P.Statements, P.Branchy, P.Seed), FO);
     ASSERT_TRUE(C.ok()) << P.Name << ": " << C.Error;
     MatrixRow Row{P.Name, {}, {}};
-    for (size_t MI = 0; MI != 3; ++MI) {
-      PipelineOptions PO;
-      PO.Machine = *findMachine(Machines[MI]);
-      PO.Threads = 1;
-      Row.Classical[MI] =
-          digest(*optimizedClone(*C.M, OptLevel::Classical, PO));
-      Row.Vliw[MI] = digest(*optimizedClone(*C.M, OptLevel::Vliw, PO));
-    }
+    AliasRow Facts{P.Name, 0, {}, {}};
+    compileCells(*C.M, Row, Facts);
     Actual += render(Row);
+    ActualFacts += render(Facts);
   }
   EXPECT_TRUE(Actual == render(GoldenLargeBlocks))
       << "compiled output moved; actual GoldenLargeBlocks table:\n"
       << Actual;
+  EXPECT_TRUE(ActualFacts == render(GoldenLargeBlockAliasFacts))
+      << "alias facts moved; actual GoldenLargeBlockAliasFacts table:\n"
+      << ActualFacts;
 }

@@ -11,6 +11,7 @@
 #include "TestUtil.h"
 #include "audit/PassAudit.h" // cloneModule
 #include "pdf/PdfExperiment.h"
+#include "profile/Counters.h"
 #include "workloads/Registry.h"
 #include "workloads/Spec.h"
 
@@ -31,9 +32,11 @@ std::vector<RunOptions> batteryFor(const Workload &W) {
 
 // Acceptance: the dense path reproduces the legacy string-keyed profile
 // bit-for-bit on every kernel — same battery, summed RunResult maps.
+// Both collections run the module collectPdfFeedback trains on: the kernel
+// with its prologs (prepareForTraining), so each input runs at its scale.
 TEST(PdfExperiment, DenseParityWithStringKeyedPathAllKernels) {
   for (const Workload &W : specWorkloads()) {
-    auto M = buildWorkload(W);
+    auto M = prepareForTraining(*buildWorkload(W));
     std::vector<RunOptions> Battery = batteryFor(W);
 
     SimEngine Engine(*M, rs6000());
@@ -58,7 +61,7 @@ TEST(PdfExperiment, DenseParityWithStringKeyedPathAllKernels) {
 
 TEST(PdfExperiment, CollectionIsThreadCountInvariant) {
   const Workload &W = specWorkloads()[2]; // eqntott
-  auto M = buildWorkload(W);
+  auto M = prepareForTraining(*buildWorkload(W));
   std::vector<RunOptions> Battery;
   for (int64_t S = 1; S <= 4; ++S)
     Battery.push_back(workloadInput(S));

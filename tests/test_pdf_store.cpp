@@ -12,6 +12,7 @@
 #include "TestUtil.h"
 #include "frontend/Frontend.h"
 #include "pdf/ProfileStore.h"
+#include "profile/Counters.h"
 #include "vliw/Pipeline.h"
 #include "workloads/RandomProgram.h"
 #include "workloads/Registry.h"
@@ -24,9 +25,12 @@ using namespace vsc;
 
 namespace {
 
+/// The named kernel as collectPdfFeedback trains on it: with its prologs
+/// (prepareForTraining), so an input made by workloadInput(N) runs at
+/// scale N. Preparation keeps the raw module's CFG fingerprint.
 std::unique_ptr<Module> buildNamed(const char *Name) {
   if (const Workload *W = workloads::findKernel(Name))
-    return buildWorkload(*W);
+    return prepareForTraining(*buildWorkload(*W));
   ADD_FAILURE() << "no workload " << Name;
   return nullptr;
 }
@@ -89,7 +93,7 @@ TEST(PdfStore, DenseCountsMatchSimulatorGroundTruth) {
 // with the simulator's string-keyed counters on every one of them.
 TEST(PdfStore, DenseCountsMatchGroundTruthOnIrregularKernels) {
   for (const Workload &W : irregularWorkloads()) {
-    auto M = buildWorkload(W);
+    auto M = prepareForTraining(*buildWorkload(W));
     SimEngine Engine(*M, rs6000());
     DenseProfile P = profileAt(Engine, W.TrainScale);
     ProfileData D = P.toProfileData();
@@ -108,7 +112,8 @@ TEST(PdfStore, DispatchKernelProfileSurvivesSaveLoadMerge) {
   const Workload *W = workloads::findKernel("interp");
   ASSERT_TRUE(W);
   auto M = buildWorkload(*W);
-  SimEngine Engine(*M, rs6000());
+  auto Train = prepareForTraining(*M);
+  SimEngine Engine(*Train, rs6000());
   DenseProfile A = profileAt(Engine, W->TrainScale);
   DenseProfile B = profileAt(Engine, W->TrainScale + 1);
 
