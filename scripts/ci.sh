@@ -11,8 +11,9 @@
 # run also validates the pipeline on 40 programs no previous run has
 # seen, with the analysis-cache recompute-and-compare checker forced on
 # (VSC_CHECK_ANALYSES=1). Finally each configuration runs the simulator
-# fast-path differential + oracle suites, the cost-model-vs-simulator
-# timing differential, and the alias-analysis/audit suites explicitly.
+# fast-path differential, reference-interpreter and oracle suites, the
+# cost-model-vs-simulator timing differential, and the alias-analysis/audit
+# suites explicitly.
 # The default configuration also runs the benchmark's self-test and checks
 # that bench_alias reproduces the committed BENCH_alias.json.
 #
@@ -65,13 +66,15 @@ run_config() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
     -R 'MinII|ExactPipeliner|ExactGrade|ExactApply|ExactEdge'
   # The predecoded simulator must stay byte-identical to the legacy
-  # interpreter (the oracle executes over the same predecoded image), and
-  # the scheduler's cycle estimate must equal both simulators' cycles on
-  # random single blocks, which share the issue rules of
-  # machine/IssueCore.h.
+  # interpreter, and the scheduler's cycle estimate must equal both
+  # simulators' cycles on random single blocks, which share the issue
+  # rules of machine/IssueCore.h. The oracle's reference interpreter now
+  # shares the fast path's value core (sim/ValueCore.h), so its own suites
+  # (Interp, DiffFunctions) run here too: they hold it to the legacy
+  # engine's independent copy.
   echo "=== [$name] simulator fast-path + oracle + timing differential suites ==="
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-    -R 'Fastpath|SimFastpath|SimDispatch|Oracle|TimingDifferential'
+    -R 'Fastpath|SimFastpath|SimDispatch|Oracle|Interp|DiffFunctions|TimingDifferential'
   # ProfileStore + PDF experiment driver: persistence round-trips, dense
   # counts against the simulator's ground truth, the counter scheme
   # against the exact counts on every kernel, the measured layout gate,

@@ -6,14 +6,17 @@
 ///
 ///  * ir/Instr.cpp derives the implicit uses/defs of CALL and RET from it,
 ///    which is what every dataflow analysis and scheduler sees;
-///  * sim/Simulator.cpp poisons the clobbered registers at calls, so code
-///    that wrongly relies on a caller-saved register surviving a call
-///    fails loudly and deterministically instead of "working";
-///  * oracle/Interp.cpp (the reference interpreter) applies the identical
-///    poison, so the two execution engines agree bit-for-bit and the
-///    differential oracle never reports a spurious divergence.
+///  * sim/ValueCore.h poisons the clobbered registers at calls for both
+///    engines that execute through it, the simulator's fast path and the
+///    oracle's reference interpreter, so code that wrongly relies on a
+///    caller-saved register surviving a call fails loudly and
+///    deterministically instead of "working";
+///  * sim/Simulator.cpp (simulateLegacy) applies the identical poison in
+///    its own copy, the independent reference the other engines are
+///    tested against, so the differential oracle never reports a spurious
+///    divergence.
 ///
-/// tests/test_oracle.cpp pins the set by running both engines over a
+/// tests/test_oracle.cpp pins the set by running the engines over a
 /// program that observes every register around a call.
 ///
 //===----------------------------------------------------------------------===//

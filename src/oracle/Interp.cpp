@@ -6,37 +6,33 @@
 /// scans and per-instruction symbol lookups of the original walking
 /// interpreter are gone. Images are decoded per function on first entry
 /// and cached in the session (the oracle runs each function on a whole
-/// input battery, so the decode amortizes to nothing). Semantics are
-/// unchanged: contract-preserved registers at calls, trap-free !safe
-/// loads, identical trap messages, traces and fingerprints.
+/// input battery, so the decode amortizes to nothing). Values, memory,
+/// builtins, the call-clobber scrub and trap texts come from the value
+/// core the simulator's fast path shares (sim/ValueCore.h); this file adds
+/// what only the oracle needs: contract-preserved registers at calls,
+/// trap-free !safe loads, traces, digests, coverage and budgets.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "oracle/Interp.h"
 
 #include "ir/Abi.h"
-#include "sim/Predecode.h"
-#include "sim/Simulator.h" // computeGlobalLayout
+#include "sim/ValueCore.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace vsc;
 
 namespace vsc {
 
-/// The per-module precomputation a session carries: global layout,
-/// flattened initializer bytes, the function name map Module::findFunction
-/// would otherwise re-derive by linear scan on every call, the per-function
-/// decoded images (built on first entry), and the pooled memory arena runs
-/// reuse. Sessions are single-threaded (the oracle creates one per task),
-/// so the image cache needs no locking.
+/// The per-module precomputation a session carries: the data layout
+/// (global addresses and initializer bytes), the function name map
+/// Module::findFunction would otherwise re-derive by linear scan on every
+/// call, the per-function decoded images (built on first entry), and the
+/// pooled memory arena runs reuse. Sessions are single-threaded (the
+/// oracle creates one per task), so the image cache needs no locking.
 struct InterpSession::Impl {
-  const Module &M;
-  std::unordered_map<std::string, uint64_t> GlobalBase;
-  uint64_t DataEnd = 4096;
-  /// Initializers flattened to one byte image for [4096, 4096 + size()).
-  std::vector<uint8_t> DataInit;
+  DataLayout Data;
   /// First function of each name, mirroring Module::findFunction.
   std::unordered_map<std::string, const Function *> FuncByName;
   /// Decoded images, keyed by function identity so an Override body (not
@@ -45,17 +41,7 @@ struct InterpSession::Impl {
   std::unordered_map<const Function *, std::unique_ptr<InterpImage>> Images;
   std::vector<uint8_t> MemPool;
 
-  explicit Impl(const Module &M) : M(M) {
-    GlobalBase = computeGlobalLayout(M);
-    for (const Global &G : M.globals()) {
-      uint64_t Addr = GlobalBase.at(G.Name);
-      DataEnd = std::max(DataEnd, Addr + G.Size);
-      if (!G.Init.empty() &&
-          DataInit.size() < Addr - 4096 + G.Init.size())
-        DataInit.resize(Addr - 4096 + G.Init.size(), 0);
-      for (size_t I = 0; I != G.Init.size(); ++I)
-        DataInit[Addr - 4096 + I] = G.Init[I];
-    }
+  explicit Impl(const Module &M) : Data(buildDataLayout(M)) {
     for (const auto &F : M.functions())
       FuncByName.emplace(F->name(), F.get());
   }
@@ -65,7 +51,7 @@ struct InterpSession::Impl {
     if (It == Images.end())
       It = Images
                .emplace(F, std::make_unique<InterpImage>(predecodeFunction(
-                               *F, GlobalBase, FuncByName)))
+                               *F, Data.GlobalBase, FuncByName)))
                .first;
     return *It->second;
   }
@@ -75,8 +61,9 @@ struct InterpSession::Impl {
 
 namespace {
 
-constexpr uint64_t FnvOffset = 1469598103934665603ULL;
-constexpr uint64_t FnvPrime = 1099511628211ULL;
+using simcore::FnvOffset;
+using simcore::FnvPrime;
+using simcore::RegValues;
 
 inline void fnv(uint64_t &H, uint64_t V) {
   for (unsigned B = 0; B != 8; ++B) {
@@ -84,52 +71,6 @@ inline void fnv(uint64_t &H, uint64_t V) {
     H *= FnvPrime;
   }
 }
-
-struct CrVal {
-  bool Lt = false, Gt = false, Eq = false;
-
-  bool bit(CrBit B) const {
-    switch (B) {
-    case CrBit::Lt:
-      return Lt;
-    case CrBit::Gt:
-      return Gt;
-    case CrBit::Eq:
-      return Eq;
-    }
-    return false;
-  }
-  std::string str() const {
-    return std::string(Lt ? "lt" : "") + (Gt ? "gt" : "") + (Eq ? "eq" : "");
-  }
-};
-
-/// Architectural state. Virtual registers are function-private (saved and
-/// restored at calls), as in the simulator.
-struct RegFile {
-  int64_t Phys[32] = {0};
-  CrVal PhysCr[8];
-  int64_t Ctr = 0;
-  std::vector<int64_t> Virt;
-  std::vector<CrVal> VirtCr;
-
-  int64_t &gpr(uint32_t Id) {
-    if (Id < 32)
-      return Phys[Id];
-    size_t V = Id - 32;
-    if (V >= Virt.size())
-      Virt.resize(V + 1, 0);
-    return Virt[V];
-  }
-  CrVal &cr(uint32_t Id) {
-    if (Id < 8)
-      return PhysCr[Id];
-    size_t V = Id - 8;
-    if (V >= VirtCr.size())
-      VirtCr.resize(V + 1);
-    return VirtCr[V];
-  }
-};
 
 /// Saved caller context. Besides the virtual registers, the interpreter
 /// snapshots the call-preserved physical registers and restores them at
@@ -140,8 +81,7 @@ struct Frame {
   const InterpImage *Img = nullptr;
   uint32_t BlockIdx = 0;
   uint32_t InstrIdx = 0; // flat index into Img->Instrs, past the CALL
-  std::vector<int64_t> Virt;
-  std::vector<CrVal> VirtCr;
+  decltype(RegValues::Virt) Virt;
   int64_t Preserved[32] = {0};
 };
 
@@ -149,12 +89,8 @@ class Interp {
 public:
   Interp(InterpSession::Impl &S, const InterpOptions &Opts,
          std::vector<uint8_t> &Mem)
-      : S(S), Opts(Opts), Mem(Mem), DataEnd(S.DataEnd) {
-    Mem.assign(Opts.MemBytes, 0);
-    if (!S.DataInit.empty() && Mem.size() > 4096) {
-      size_t N = std::min<size_t>(S.DataInit.size(), Mem.size() - 4096);
-      std::memcpy(Mem.data() + 4096, S.DataInit.data(), N);
-    }
+      : S(S), Opts(Opts), Mem(Mem), DataEnd(S.Data.DataEnd) {
+    simcore::fillMemory(Mem, Opts.MemBytes, S.Data);
   }
 
   InterpResult run() {
@@ -164,13 +100,10 @@ public:
     const Function *F = resolve(Opts.EntryFunction);
     if (!F || F->blocks().empty()) {
       R.Trapped = true;
-      R.TrapMsg = "no entry function '" + Opts.EntryFunction + "'";
+      R.TrapMsg = simcore::noEntryTrap(Opts.EntryFunction);
       return R;
     }
-    Regs.gpr(1) = static_cast<int64_t>(Mem.size() - 4096); // stack top
-    Regs.gpr(2) = 4096;                                    // TOC anchor
-    for (size_t I = 0; I < Opts.Args.size() && I < 8; ++I)
-      Regs.gpr(3 + static_cast<uint32_t>(I)) = Opts.Args[I];
+    simcore::setEntryRegisters(Regs, Mem.size(), Opts.Args);
 
     CurF = F;
     Img = &S.imageFor(F);
@@ -182,7 +115,7 @@ public:
       const DecodedBlock *B = &Img->Blocks[BlockIdx];
       while (InstrIdx >= B->FirstInstr + B->NumInstrs) {
         if (BlockIdx + 1 >= Img->Blocks.size())
-          return trap(R, "fell off the end of function " + CurF->name());
+          return trap(R, simcore::fellOffTrap(CurF->name()));
         ++BlockIdx;
         B = &Img->Blocks[BlockIdx];
         InstrIdx = B->FirstInstr;
@@ -213,18 +146,6 @@ private:
     return It == S.FuncByName.end() ? nullptr : It->second;
   }
 
-  int64_t readMem(uint64_t Addr, unsigned Size) const {
-    uint64_t V = 0;
-    for (unsigned B = 0; B != Size; ++B)
-      V |= static_cast<uint64_t>(Mem[Addr + B]) << (8 * B);
-    if (Size < 8) {
-      uint64_t SignBit = 1ULL << (Size * 8 - 1);
-      if (V & SignBit)
-        V |= ~((SignBit << 1) - 1);
-    }
-    return static_cast<int64_t>(V);
-  }
-
   InterpResult &trap(InterpResult &R, const std::string &Msg) {
     R.Trapped = true;
     R.TrapMsg = Msg;
@@ -232,34 +153,14 @@ private:
   }
 
   InterpResult &finish(InterpResult &R) {
-    uint64_t H = FnvOffset;
-    for (uint64_t A = 4096; A < DataEnd && A < Mem.size(); ++A) {
-      H ^= Mem[A];
-      H *= FnvPrime;
-    }
-    R.MemDigest = H;
+    R.MemDigest = simcore::dataDigest(Mem, DataEnd);
     return R;
-  }
-
-  void scrubCallClobbers(int64_t KeepArgs) {
-    abi::forEachCallClobber([&](Reg D) {
-      if (D.isGpr()) {
-        if (D.id() >= 3 &&
-            static_cast<int64_t>(D.id()) < 3 + std::min<int64_t>(KeepArgs, 8))
-          return;
-        Regs.gpr(D.id()) = abi::ClobberPoison;
-      } else if (D.isCr()) {
-        Regs.cr(D.id()) = CrVal{true, true, true};
-      } else if (D.isCtr()) {
-        Regs.Ctr = abi::ClobberPoison;
-      }
-    });
   }
 
   void traceStore(InterpResult &R, uint64_t Addr, unsigned Size, int64_t Val,
                   bool Volatile) {
     bool Observable = Volatile;
-    bool InData = Addr >= 4096 && Addr < DataEnd;
+    bool InData = Addr >= simcore::DataBase && Addr < DataEnd;
     if (InData || Observable) {
       fnv(R.StoreDigest, Addr);
       fnv(R.StoreDigest, Size);
@@ -334,7 +235,7 @@ private:
   std::vector<uint8_t> &Mem;
   uint64_t DataEnd = 4096;
 
-  RegFile Regs;
+  RegValues Regs;
   const Function *CurF = nullptr;
   const InterpImage *Img = nullptr;
   uint32_t BlockIdx = 0;
@@ -357,90 +258,32 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
 
   switch (Op) {
   case Opcode::LI:
-    Dst() = D.Imm;
+    Dst() = simcore::aluValue<Opcode::LI>(0, D.Imm);
     break;
-  case Opcode::LR:
-    Dst() = S1();
+#define VSC_ALU_RR(Name)                                                     \
+  case Opcode::Name:                                                         \
+    Dst() = simcore::aluValue<Opcode::Name>(S1(), S2());                     \
     break;
-  case Opcode::A:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) +
-                                 static_cast<uint64_t>(S2()));
+#define VSC_ALU_RI(Name)                                                     \
+  case Opcode::Name:                                                         \
+    Dst() = simcore::aluValue<Opcode::Name>(S1(), D.Imm);                    \
     break;
-  case Opcode::S:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) -
-                                 static_cast<uint64_t>(S2()));
-    break;
-  case Opcode::MUL:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) *
-                                 static_cast<uint64_t>(S2()));
-    break;
+    VSC_ALU_RR_OPS(VSC_ALU_RR)
+    VSC_ALU_RI_OPS(VSC_ALU_RI)
+#undef VSC_ALU_RR
+#undef VSC_ALU_RI
   case Opcode::DIV: {
-    int64_t Dv = S2();
-    if (Dv == 0) {
-      trap(R, "divide by zero");
+    int64_t V;
+    if (!simcore::divValue(S1(), S2(), V)) {
+      trap(R, simcore::DivideByZeroTrap);
       return false;
     }
-    if (S1() == INT64_MIN && Dv == -1)
-      Dst() = INT64_MIN;
-    else
-      Dst() = S1() / Dv;
+    Dst() = V;
     break;
   }
-  case Opcode::AND:
-    Dst() = S1() & S2();
-    break;
-  case Opcode::OR:
-    Dst() = S1() | S2();
-    break;
-  case Opcode::XOR:
-    Dst() = S1() ^ S2();
-    break;
-  case Opcode::SL:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) << (S2() & 63));
-    break;
-  case Opcode::SR:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) >> (S2() & 63));
-    break;
-  case Opcode::SRA:
-    Dst() = S1() >> (S2() & 63);
-    break;
-  case Opcode::AI:
-  case Opcode::LA:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) +
-                                 static_cast<uint64_t>(D.Imm));
-    break;
-  case Opcode::SI:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) -
-                                 static_cast<uint64_t>(D.Imm));
-    break;
-  case Opcode::MULI:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) *
-                                 static_cast<uint64_t>(D.Imm));
-    break;
-  case Opcode::ANDI:
-    Dst() = S1() & D.Imm;
-    break;
-  case Opcode::ORI:
-    Dst() = S1() | D.Imm;
-    break;
-  case Opcode::XORI:
-    Dst() = S1() ^ D.Imm;
-    break;
-  case Opcode::SLI:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) << (D.Imm & 63));
-    break;
-  case Opcode::SRI:
-    Dst() = static_cast<int64_t>(static_cast<uint64_t>(S1()) >> (D.Imm & 63));
-    break;
-  case Opcode::SRAI:
-    Dst() = S1() >> (D.Imm & 63);
-    break;
-  case Opcode::NEG:
-    Dst() = static_cast<int64_t>(0 - static_cast<uint64_t>(S1()));
-    break;
   case Opcode::LTOC: {
     if (!D.globalKnown()) {
-      trap(R, "LTOC of unknown global '" + Img->Origins[Idx]->Sym + "'");
+      trap(R, simcore::unknownGlobalTrap(Img->Origins[Idx]->Sym));
       return false;
     }
     Dst() = D.Imm;
@@ -448,55 +291,43 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
   }
   case Opcode::L:
   case Opcode::LU: {
-    uint64_t Addr = static_cast<uint64_t>(S1() + D.Imm);
-    int64_t V = 0;
-    bool PageZero = Addr + D.MemSize <= 4096;
-    bool Unmapped = !PageZero && (Addr < 4096 || Addr + D.MemSize > Mem.size());
-    if ((PageZero && !Opts.PageZeroReadable) || Unmapped) {
+    uint64_t Addr = simcore::effectiveAddress(S1(), D.Imm);
+    int64_t V;
+    simcore::LoadFault F =
+        simcore::load(Mem, Addr, D.MemSize, Opts.PageZeroReadable, V);
+    if (F != simcore::LoadFault::None) {
       // The paper's !safe loads are guaranteed non-trapping: a faulting
       // speculative load reads zero instead of killing the program.
       if (!D.specSafe()) {
-        trap(R, (Unmapped ? "load from unmapped address "
-                          : "load from page zero at ") +
-                    std::to_string(Addr));
+        trap(R, simcore::loadFaultTrap(F, Addr));
         return false;
       }
       ++R.SpecFaults;
-    } else if (!PageZero) {
-      V = readMem(Addr, D.MemSize);
     }
     if (D.isVolatile())
       R.ObsTrace.push_back("L:" + std::to_string(D.MemSize) + "[" +
                            std::to_string(Addr) + "]=" + std::to_string(V) +
                            " !volatile");
     if (Op == Opcode::LU)
-      Regs.gpr(packedId(D.Src1)) = S1() + D.Imm;
+      Regs.gpr(packedId(D.Src1)) = static_cast<int64_t>(Addr);
     Dst() = V;
     break;
   }
   case Opcode::ST: {
-    uint64_t Addr = static_cast<uint64_t>(S2() + D.Imm);
-    if (Addr < 4096 || Addr + D.MemSize > Mem.size()) {
-      trap(R, "store to unmapped address " + std::to_string(Addr));
+    uint64_t Addr = simcore::effectiveAddress(S2(), D.Imm);
+    int64_t Val = S1();
+    if (!simcore::store(Mem, Addr, D.MemSize, Val)) {
+      trap(R, simcore::storeFaultTrap(Addr));
       return false;
     }
-    int64_t Val = S1();
-    for (unsigned B = 0; B != D.MemSize; ++B)
-      Mem[Addr + B] =
-          static_cast<uint8_t>(static_cast<uint64_t>(Val) >> (8 * B));
     traceStore(R, Addr, D.MemSize, Val, D.isVolatile());
     break;
   }
   case Opcode::C:
-  case Opcode::CI: {
-    int64_t A = S1();
-    int64_t B = Op == Opcode::C ? S2() : D.Imm;
-    CrVal &Cr = Regs.cr(packedId(D.Dst));
-    Cr.Lt = A < B;
-    Cr.Gt = A > B;
-    Cr.Eq = A == B;
+  case Opcode::CI:
+    Regs.cr(packedId(D.Dst)) =
+        simcore::compare(S1(), Op == Opcode::C ? S2() : D.Imm);
     break;
-  }
   case Opcode::MTCTR:
     Regs.Ctr = S1();
     break;
@@ -516,7 +347,7 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
   case Opcode::RET:
     break;
   default:
-    trap(R, "unimplemented opcode");
+    trap(R, simcore::UnimplementedTrap);
     return false;
   }
 
@@ -526,7 +357,7 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
   if (Op == Opcode::B ||
       ((Op == Opcode::BT || Op == Opcode::BF || Op == Opcode::BCT) && Taken)) {
     if (D.Target < 0) {
-      trap(R, "branch to unknown label '" + Img->Origins[Idx]->Target + "'");
+      trap(R, simcore::unknownLabelTrap(Img->Origins[Idx]->Target));
       return false;
     }
     BlockIdx = static_cast<uint32_t>(D.Target);
@@ -539,26 +370,8 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
     const Instr &OI = *Img->Origins[Idx];
     traceCall(R, OI);
     if (D.builtin() != SimBuiltin::None) {
-      int64_t A0 = Regs.gpr(3);
-      scrubCallClobbers(/*KeepArgs=*/0);
-      switch (D.builtin()) {
-      case SimBuiltin::PrintInt:
-        R.Output += std::to_string(A0) + "\n";
-        Regs.gpr(3) = A0;
-        break;
-      case SimBuiltin::PrintChar:
-        R.Output += static_cast<char>(A0 & 0xff);
-        Regs.gpr(3) = A0;
-        break;
-      case SimBuiltin::ReadInt:
-        Regs.gpr(3) =
-            InputPos < Opts.Input.size() ? Opts.Input[InputPos++] : 0;
-        break;
-      default: // exit
-        R.ExitCode = A0;
-        Done = true;
-        break;
-      }
+      Done = simcore::runBuiltin(D.builtin(), Regs, R.Output, Opts.Input,
+                                 InputPos, R.ExitCode);
       return true;
     }
     // Module-level resolution happened at decode time; the per-run
@@ -568,7 +381,7 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
             ? Opts.Override
             : Img->Callees[Idx];
     if (!Callee || Callee->blocks().empty()) {
-      trap(R, "call to unknown function '" + OI.Sym + "'");
+      trap(R, simcore::unknownCalleeTrap(OI.Sym));
       return false;
     }
     if (CallStack.size() >= Opts.MaxCallDepth) {
@@ -580,14 +393,11 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
     Fr.Img = Img;
     Fr.BlockIdx = BlockIdx;
     Fr.InstrIdx = InstrIdx;
-    Fr.Virt = std::move(Regs.Virt);
-    Fr.VirtCr = std::move(Regs.VirtCr);
+    Fr.Virt = std::exchange(Regs.Virt, {});
     for (uint32_t G = 0; G != 32; ++G)
       Fr.Preserved[G] = Regs.Phys[G];
     CallStack.push_back(std::move(Fr));
-    Regs.Virt.clear();
-    Regs.VirtCr.clear();
-    scrubCallClobbers(D.Imm);
+    simcore::scrubCallClobbers(Regs, D.Imm);
     CurF = Callee;
     Img = &S.imageFor(Callee);
     BlockIdx = 0;
@@ -609,7 +419,6 @@ bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
     BlockIdx = Fr.BlockIdx;
     InstrIdx = Fr.InstrIdx;
     Regs.Virt = std::move(Fr.Virt);
-    Regs.VirtCr = std::move(Fr.VirtCr);
     // Contract semantics: the preserved registers come back regardless of
     // whether the callee had prologs yet.
     for (uint32_t G = 0; G != 32; ++G)

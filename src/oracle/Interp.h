@@ -3,10 +3,11 @@
 /// \file
 /// A deterministic reference interpreter for the IR — the executable
 /// ground truth the differential oracle (oracle/ExecOracle.h) validates
-/// every pipeline pass against. It shares the functional semantics of
-/// sim/Simulator.h (same memory layout, same builtins, same ABI poison at
-/// calls from ir/Abi.h) but carries no timing model, and it differs from
-/// the simulator in two deliberate ways:
+/// every pipeline pass against. It computes values through the value core
+/// it shares with the simulator's fast path (sim/ValueCore.h: the same
+/// ALU, memory layout, builtins, ABI poison at calls and trap texts) but
+/// carries no timing model, and it differs from the simulator in two
+/// deliberate ways:
 ///
 ///  * Contract semantics at calls: the interpreter itself preserves r1,
 ///    r2 and r13..r31 across every call (snapshot at CALL, restore at the

@@ -286,8 +286,8 @@ Instrumentation vsc::instrumentModule(Module &M, bool HoistCounters) {
   size_t Slots = 0;
   for (auto &F : M.functions())
     Slots += Info.Plans[F->name()].CountedBlocks.size();
-  Global &Table = M.addGlobal(CounterTable, 8 * std::max<size_t>(Slots, 1));
-  (void)Table;
+  M.addGlobal(CounterTable, 8 * std::max<size_t>(Slots, 1));
+  Info.TableBase = computeGlobalLayout(M).at(CounterTable);
 
   size_t Slot = 0;
   for (auto &F : M.functions()) {
@@ -374,12 +374,9 @@ Instrumentation vsc::instrumentModule(Module &M, bool HoistCounters) {
 std::unordered_map<std::string, uint64_t>
 vsc::readCounters(const RunResult &R, const Instrumentation &Info) {
   std::unordered_map<std::string, uint64_t> Out;
-  auto It = R.GlobalBase.find(CounterTable);
-  if (It == R.GlobalBase.end())
-    return Out;
   for (size_t Slot = 0; Slot != Info.SlotKeys.size(); ++Slot)
     Out[Info.SlotKeys[Slot]] = static_cast<uint64_t>(
-        readMemoryWord(R, It->second + 8 * Slot, 8));
+        readMemoryWord(R, Info.TableBase + 8 * Slot, 8));
   return Out;
 }
 

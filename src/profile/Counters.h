@@ -55,6 +55,9 @@ struct Instrumentation {
   std::vector<std::string> SlotKeys;
   /// Per-function plans (for the second compile).
   std::unordered_map<std::string, CounterPlan> Plans;
+  /// Address of __bbcounts (computeGlobalLayout; globals are only ever
+  /// appended, so later globals do not move it).
+  uint64_t TableBase = 0;
 };
 
 /// Plans counters for every function of \p M and inserts counting code

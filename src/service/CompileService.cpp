@@ -232,7 +232,6 @@ struct CompileService::Impl {
     }
     R.BlockCounts.clear();
     R.EdgeCounts.clear();
-    R.GlobalBase.clear();
     R.Memory.clear();
     R.Memory.shrink_to_fit();
     Artifact A = makeArtifact(ArtifactClass::SimResult, ImgArt->Fingerprint,

@@ -3,29 +3,28 @@
 /// The execution engine behind vsc::simulate / simulateBatch / SimEngine:
 /// runs the functional+timing loop over the packed 32-byte records of a
 /// SimImage (sim/Predecode.h). The loop body, one switch over the record's
-/// opcode, lives in FastSimBody.inc; timing goes through the machine's
-/// issue rules (machine/IssueCore.h), which the scheduler's cost model
-/// shares. Fused superinstruction records (SimOpFuse*) execute both
-/// constituents in one handler, charging the instruction budget and
-/// issuing each constituent exactly where the unfused sequence would.
+/// opcode, lives in FastSimBody.inc; values come from sim/ValueCore.h
+/// (shared with the oracle's interpreter), timing from machine/IssueCore.h
+/// (shared with the scheduler's cost model). Fused superinstruction records
+/// (SimOpFuse*) execute both constituents in one handler, charging the
+/// instruction budget and issuing each constituent exactly where the
+/// unfused sequence would.
 ///
 /// Must stay bit-identical to the walking interpreter in Simulator.cpp
 /// (simulateLegacy) — tests/test_sim_fastpath.cpp and
 /// tests/test_sim_dispatch.cpp enforce that, so any semantic change must
-/// be made in both places.
+/// be made in the value core and in simulateLegacy's own copy.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ir/Abi.h"
 #include "machine/IssueCore.h"
 #include "sim/Predecode.h"
-#include "sim/SimCore.h"
 #include "sim/Simulator.h"
+#include "sim/ValueCore.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <memory>
 #include <mutex>
 
@@ -42,10 +41,8 @@ struct FastFrame {
   const DecodedFunction *F = nullptr;
   uint32_t Block = 0;
   uint32_t Instr = 0; // global instruction index, already past the CALL
-  std::vector<int64_t> Virt;
-  std::vector<CrVal> VirtCr;
-  std::vector<uint64_t> VirtReady;
-  std::vector<uint64_t> VirtCrReady;
+  decltype(RegFile::Virt) Virt;
+  decltype(RegFile::VirtReady) VirtReady;
 };
 
 /// Storage pooled across the runs of a batch: the memory image, the dense
@@ -82,23 +79,15 @@ public:
         It == Img.FuncByName.end() ? nullptr : &Img.Funcs[It->second];
     if (!F || F->NumBlocks == 0) {
       R.Trapped = true;
-      R.TrapMsg = "no entry function '" + Opts.EntryFunction + "'";
+      R.TrapMsg = simcore::noEntryTrap(Opts.EntryFunction);
       return R; // like the legacy engine: no digest, no counters
     }
 
-    Mem.assign(Opts.MemBytes, 0);
-    if (!Img.DataInit.empty() && Mem.size() > 4096) {
-      size_t N = std::min<size_t>(Img.DataInit.size(), Mem.size() - 4096);
-      std::memcpy(Mem.data() + 4096, Img.DataInit.data(), N);
-    }
+    simcore::fillMemory(Mem, Opts.MemBytes, Img.Data);
     BlockHits.assign(Img.Blocks.size(), 0);
     EdgeHits.assign(Img.EdgeKeys.size(), 0);
     CallStack.clear();
-
-    Regs.gpr(1) = static_cast<int64_t>(Mem.size() - 4096); // stack top
-    Regs.gpr(2) = 4096;                                    // TOC anchor
-    for (size_t I = 0; I < Opts.Args.size() && I < 8; ++I)
-      Regs.gpr(3 + static_cast<uint32_t>(I)) = Opts.Args[I];
+    simcore::setEntryRegisters(Regs, Mem.size(), Opts.Args);
 
     CurF = F;
     Blk = F->FirstBlock;
@@ -123,37 +112,6 @@ private:
   /// can dangle across another gpr() call (virtual-register growth).
   int64_t gprVal(PackedReg P) { return Regs.gpr(packedId(P)); }
 
-  int64_t readMem(uint64_t Addr, unsigned Size, bool &Ok, bool &PageZero) {
-    PageZero = false;
-    if (Addr + Size <= 4096) {
-      PageZero = true;
-      return 0; // legality checked by the caller against the model
-    }
-    if (Addr + Size > Mem.size() || Addr < 4096) {
-      Ok = false;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (unsigned B = 0; B != Size; ++B)
-      V |= static_cast<uint64_t>(Mem[Addr + B]) << (8 * B);
-    // Sign extend.
-    if (Size < 8) {
-      uint64_t SignBit = 1ULL << (Size * 8 - 1);
-      if (V & SignBit)
-        V |= ~((SignBit << 1) - 1);
-    }
-    return static_cast<int64_t>(V);
-  }
-
-  bool writeMem(uint64_t Addr, unsigned Size, int64_t Val) {
-    if (Addr < 4096 || Addr + Size > Mem.size())
-      return false;
-    for (unsigned B = 0; B != Size; ++B)
-      Mem[Addr + B] =
-          static_cast<uint8_t>(static_cast<uint64_t>(Val) >> (8 * B));
-    return true;
-  }
-
   RunResult &trap(RunResult &R, const std::string &Msg) {
     R.Trapped = true;
     R.TrapMsg = Msg;
@@ -164,19 +122,12 @@ private:
     if (Finished)
       return R;
     Finished = true;
-    // FNV-1a over the global data area.
-    uint64_t H = 1469598103934665603ULL;
-    for (uint64_t A = 4096; A < Img.DataEnd && A < Mem.size(); ++A) {
-      H ^= Mem[A];
-      H *= 1099511628211ULL;
-    }
-    R.MemDigest = H;
+    R.MemDigest = simcore::dataDigest(Mem, Img.Data.DataEnd);
     R.Cycles = Core.lastIssue();
     R.OperandStallCycles = Core.operandStallCycles();
     R.BranchStallCycles = Core.branchStallCycles();
     if (Opts.KeepMemory)
       R.Memory = Mem;
-    R.GlobalBase = Img.GlobalBase;
     if (DenseOut) {
       // Dense export: hand the slot vectors to the caller untouched (the
       // arena keeps its capacity — copy, don't move) and skip the string-
@@ -243,7 +194,7 @@ private:
       // The stack grows down from the top of memory; a stack pointer that
       // descends into the global data area would silently corrupt globals
       // (and stores through it still look "mapped" to writeMem).
-      if (Id == 1 && Regs.Phys[1] < static_cast<int64_t>(Img.DataEnd))
+      if (Id == 1 && Regs.Phys[1] < static_cast<int64_t>(Img.Data.DataEnd))
         return trap(R, "stack overflow into data"), false;
     } else {
       setReadyOf(D.Dst, C + D.latency());
@@ -265,7 +216,7 @@ private:
     setReadyOf(D.Src1, BaseWhen);
     if ((D.Src1 == packReg(regs::sp()) ||
          (packedClass(D.Dst) == RegClass::Gpr && packedId(D.Dst) == 1)) &&
-        Regs.Phys[1] < static_cast<int64_t>(Img.DataEnd))
+        Regs.Phys[1] < static_cast<int64_t>(Img.Data.DataEnd))
       return trap(R, "stack overflow into data"), false;
     return true;
   }
@@ -286,23 +237,6 @@ private:
     for (uint32_t I = 13; I <= 31; ++I)
       T = std::max(T, Regs.gprReady(I));
     return T;
-  }
-
-  /// Kills everything the linkage convention says a call clobbers (see
-  /// the legacy engine for the rationale; poison from ir/Abi.h).
-  void scrubCallClobbers(int64_t KeepArgs) {
-    abi::forEachCallClobber([&](Reg D) {
-      if (D.isGpr()) {
-        if (D.id() >= 3 &&
-            static_cast<int64_t>(D.id()) < 3 + std::min<int64_t>(KeepArgs, 8))
-          return;
-        Regs.gpr(D.id()) = abi::ClobberPoison;
-      } else if (D.isCr()) {
-        Regs.cr(D.id()) = CrVal{true, true, true};
-      } else if (D.isCtr()) {
-        Regs.Ctr = abi::ClobberPoison;
-      }
-    });
   }
 
   // --- state --------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include "ir/Abi.h"
 #include "sim/Simulator.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace vsc;
@@ -29,34 +30,38 @@ PackedReg pack(Reg R) {
 }
 
 /// Fills the fields every record carries regardless of image flavour:
-/// opcode, flag bits, operands, immediate and (for module images) the
-/// unit/latency byte. Target/TakenEdge resolution is the caller's job.
-DecodedInstr decodeCore(const Instr &I, const MachineModel *Model) {
-  const OpcodeInfo &Info = opcodeInfo(I.Op);
+/// opcode, flag bits, operands, immediate (for LTOC, the resolved global
+/// address) and, for module images, the latency. Target/TakenEdge
+/// resolution is the caller's job.
+DecodedInstr
+decodeCore(const Instr &I, const MachineModel *Model,
+           const std::unordered_map<std::string, uint64_t> &GlobalBase) {
   DecodedInstr D;
   D.Op = static_cast<uint8_t>(I.Op);
   D.Flags = static_cast<uint8_t>(static_cast<uint8_t>(I.Bit)
                                  << DIFlagCrBitShift);
-  if (Info.IsBranch)
-    D.Flags |= DIFlagIsBranch;
-  if (Info.HasDst || I.Op == Opcode::LU)
-    D.Flags |= DIFlagSetsDefsReady;
   if (I.SpecSafe)
     D.Flags |= DIFlagSpecSafe;
   if (I.IsVolatile)
     D.Flags |= DIFlagVolatile;
   D.MemSize = I.MemSize;
-  D.UnitLat = 0;
+  D.Latency = 0;
   if (Model) {
     unsigned Lat = Model->latencyOf(I);
-    assert(Lat < 128 && "latency overflows the packed unit/latency byte");
-    D.UnitLat = static_cast<uint8_t>((Lat << 1) |
-                                     (Info.Unit == UnitKind::Bu ? 1 : 0));
+    assert(Lat < 256 && "latency overflows the record's latency byte");
+    D.Latency = static_cast<uint8_t>(Lat);
   }
   D.Dst = pack(I.Dst);
   D.Src1 = pack(I.Src1);
   D.Src2 = pack(I.Src2);
   D.Imm = I.Imm;
+  if (I.Op == Opcode::LTOC) {
+    auto It = GlobalBase.find(I.Sym);
+    if (It != GlobalBase.end()) {
+      D.Imm = static_cast<int64_t>(It->second);
+      D.Flags |= DIFlagGlobalKnown;
+    }
+  }
   D.Target = -1;
   D.TakenEdge = -1;
   return D;
@@ -141,23 +146,27 @@ uint64_t fuseBlock(DecodedInstr *Instrs, uint32_t First, uint32_t Num) {
 
 } // namespace
 
+DataLayout vsc::buildDataLayout(const Module &M) {
+  DataLayout L;
+  L.GlobalBase = computeGlobalLayout(M);
+  for (const Global &G : M.globals()) {
+    uint64_t Addr = L.GlobalBase.at(G.Name);
+    L.DataEnd = std::max(L.DataEnd, Addr + G.Size);
+    if (!G.Init.empty() && L.DataInit.size() < Addr - 4096 + G.Init.size())
+      L.DataInit.resize(Addr - 4096 + G.Init.size(), 0);
+    for (size_t I = 0; I != G.Init.size(); ++I)
+      L.DataInit[Addr - 4096 + I] = G.Init[I];
+  }
+  return L;
+}
+
 SimImage vsc::predecode(const Module &M, const MachineModel &Model,
                         bool Fuse) {
   SimImage Img;
   Img.M = &M;
   Img.Model = Model;
 
-  // Global layout and the flattened initializer image.
-  Img.GlobalBase = computeGlobalLayout(M);
-  for (const Global &G : M.globals()) {
-    uint64_t Addr = Img.GlobalBase.at(G.Name);
-    Img.DataEnd = std::max(Img.DataEnd, Addr + G.Size);
-    if (!G.Init.empty() &&
-        Img.DataInit.size() < Addr - 4096 + G.Init.size())
-      Img.DataInit.resize(Addr - 4096 + G.Init.size(), 0);
-    for (size_t I = 0; I != G.Init.size(); ++I)
-      Img.DataInit[Addr - 4096 + I] = G.Init[I];
-  }
+  Img.Data = buildDataLayout(M);
 
   // Function and block index assignment (blocks contiguous per function,
   // in layout order), plus the per-function label map branch resolution
@@ -209,17 +218,9 @@ SimImage vsc::predecode(const Module &M, const MachineModel &Model,
             newEdge(F.name(), BB.label(), F.blocks()[BI + 1]->label());
 
       for (const Instr &I : BB.instrs()) {
-        DecodedInstr D = decodeCore(I, &Model);
+        DecodedInstr D = decodeCore(I, &Model, Img.Data.GlobalBase);
 
         switch (I.Op) {
-        case Opcode::LTOC: {
-          auto It = Img.GlobalBase.find(I.Sym);
-          if (It != Img.GlobalBase.end()) {
-            D.Imm = static_cast<int64_t>(It->second);
-            D.Flags |= DIFlagGlobalKnown;
-          }
-          break;
-        }
         case Opcode::B:
         case Opcode::BT:
         case Opcode::BF:
@@ -286,18 +287,10 @@ InterpImage vsc::predecodeFunction(
     DB.Origin = BB.get();
 
     for (const Instr &I : BB->instrs()) {
-      DecodedInstr D = decodeCore(I, /*Model=*/nullptr);
+      DecodedInstr D = decodeCore(I, /*Model=*/nullptr, GlobalBase);
       const Function *Callee = nullptr;
 
       switch (I.Op) {
-      case Opcode::LTOC: {
-        auto It = GlobalBase.find(I.Sym);
-        if (It != GlobalBase.end()) {
-          D.Imm = static_cast<int64_t>(It->second);
-          D.Flags |= DIFlagGlobalKnown;
-        }
-        break;
-      }
       case Opcode::B:
       case Opcode::BT:
       case Opcode::BF:

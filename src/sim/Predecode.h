@@ -88,11 +88,9 @@ inline uint32_t packedId(PackedReg P) { return P & 0x3fffffffu; }
 
 /// DecodedInstr::Flags bits. CrBit occupies bits 5..6.
 enum : uint8_t {
-  DIFlagIsBranch = 1u << 0,      ///< opcode IsBranch (B/BT/BF/BCT)
-  DIFlagSetsDefsReady = 1u << 1, ///< opcode HasDst, or LU
-  DIFlagGlobalKnown = 1u << 2,   ///< LTOC: Imm holds the resolved address
-  DIFlagSpecSafe = 1u << 3,      ///< Instr::SpecSafe (oracle semantics)
-  DIFlagVolatile = 1u << 4,      ///< Instr::IsVolatile (oracle semantics)
+  DIFlagGlobalKnown = 1u << 2, ///< LTOC: Imm holds the resolved address
+  DIFlagSpecSafe = 1u << 3,    ///< Instr::SpecSafe (oracle semantics)
+  DIFlagVolatile = 1u << 4,    ///< Instr::IsVolatile (oracle semantics)
   DIFlagCrBitShift = 5,
   DIFlagCrBitMask = 0x3u << DIFlagCrBitShift,
 };
@@ -109,11 +107,10 @@ struct DecodedInstr {
   /// DIFlag bits plus the BT/BF/C/CI condition bit in bits 5..6.
   uint8_t Flags;
   uint8_t MemSize;
-  /// Unit class in bit 0 (0 = Fxu, 1 = Bu) and the result-availability
-  /// latency under the image's machine model in bits 1..7 (the largest
-  /// stock latency, DivLatency = 20, fits comfortably). Zero in
+  /// Result-availability latency under the image's machine model (the
+  /// largest stock latency, DivLatency = 20, fits comfortably). Zero in
   /// interpreter images, which carry no timing model.
-  uint8_t UnitLat;
+  uint8_t Latency;
   PackedReg Dst, Src1, Src2;
   /// Immediate / displacement. LTOC (which has no architectural
   /// immediate) reuses this for the resolved global address when
@@ -134,15 +131,10 @@ struct DecodedInstr {
   CrBit crBit() const {
     return static_cast<CrBit>((Flags & DIFlagCrBitMask) >> DIFlagCrBitShift);
   }
-  bool isBranch() const { return Flags & DIFlagIsBranch; }
-  bool setsDefsReady() const { return Flags & DIFlagSetsDefsReady; }
   bool globalKnown() const { return Flags & DIFlagGlobalKnown; }
   bool specSafe() const { return Flags & DIFlagSpecSafe; }
   bool isVolatile() const { return Flags & DIFlagVolatile; }
-  UnitKind unit() const {
-    return (UnitLat & 1) ? UnitKind::Bu : UnitKind::Fxu;
-  }
-  unsigned latency() const { return UnitLat >> 1; }
+  unsigned latency() const { return Latency; }
   /// CALL: the builtin encoded in Target, or SimBuiltin::None.
   SimBuiltin builtin() const {
     return Target <= -2 ? static_cast<SimBuiltin>(-2 - Target)
@@ -175,6 +167,19 @@ struct DecodedFunction {
   uint32_t NumBlocks;
 };
 
+/// A module's global data: each global's address (computeGlobalLayout),
+/// the end of the data area, and the initializers flattened to one byte
+/// image for addresses [4096, 4096 + DataInit.size()).
+struct DataLayout {
+  std::unordered_map<std::string, uint64_t> GlobalBase;
+  uint64_t DataEnd = 4096;
+  std::vector<uint8_t> DataInit;
+};
+
+/// Builds \p M's data layout; predecode and the oracle interpreter's
+/// session both start from it.
+DataLayout buildDataLayout(const Module &M);
+
 /// The immutable predecoded image of one (module, machine model) pair.
 /// The model is copied in (so a temporary like rs6000() is fine); the
 /// module must outlive the image.
@@ -200,11 +205,7 @@ struct SimImage {
   std::vector<std::string> BlockKeys;
   std::vector<std::string> EdgeKeys;
 
-  /// Global data layout (computeGlobalLayout) and the flattened
-  /// initializer image for addresses [4096, 4096 + DataInit.size()).
-  std::unordered_map<std::string, uint64_t> GlobalBase;
-  uint64_t DataEnd = 4096;
-  std::vector<uint8_t> DataInit;
+  DataLayout Data;
 
   /// Fused superinstruction pairs formed at decode time (statistics /
   /// bench reporting; the records themselves carry the fusion).

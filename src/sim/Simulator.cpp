@@ -21,10 +21,8 @@ struct Frame {
   const Function *F = nullptr;
   size_t BlockIdx = 0;
   size_t InstrIdx = 0;
-  std::vector<int64_t> Virt;
-  std::vector<CrVal> VirtCr;
-  std::vector<uint64_t> VirtReady;
-  std::vector<uint64_t> VirtCrReady;
+  decltype(RegFile::Virt) Virt;
+  decltype(RegFile::VirtReady) VirtReady;
 };
 
 class Machine {
@@ -87,13 +85,18 @@ public:
 private:
   // --- functional helpers -------------------------------------------------
 
+  /// [Addr, Addr + Size) lies in [4096, Mem.size()), without wrapping.
+  bool mapped(uint64_t Addr, unsigned Size) const {
+    return Addr >= 4096 && Size <= Mem.size() && Addr <= Mem.size() - Size;
+  }
+
   int64_t readMem(uint64_t Addr, unsigned Size, bool &Ok, bool &PageZero) {
     PageZero = false;
-    if (Addr + Size <= 4096) {
+    if (Addr <= 4096 - Size) {
       PageZero = true;
       return 0; // legality checked by the caller against the model
     }
-    if (Addr + Size > Mem.size() || Addr < 4096) {
+    if (!mapped(Addr, Size)) {
       Ok = false;
       return 0;
     }
@@ -110,7 +113,7 @@ private:
   }
 
   bool writeMem(uint64_t Addr, unsigned Size, int64_t Val) {
-    if (Addr < 4096 || Addr + Size > Mem.size())
+    if (!mapped(Addr, Size))
       return false;
     for (unsigned B = 0; B != Size; ++B)
       Mem[Addr + B] = static_cast<uint8_t>(static_cast<uint64_t>(Val) >>
@@ -157,7 +160,6 @@ private:
     R.Cycles = PrevIssue;
     if (Opts.KeepMemory)
       R.Memory = Mem;
-    R.GlobalBase = GlobalBase;
     return R;
   }
 
@@ -602,15 +604,9 @@ bool Machine::step(const Instr &I, RunResult &R, bool &Done) {
     Fr.F = CurF;
     Fr.BlockIdx = BlockIdx;
     Fr.InstrIdx = InstrIdx;
-    Fr.Virt = std::move(Regs.Virt);
-    Fr.VirtCr = std::move(Regs.VirtCr);
-    Fr.VirtReady = std::move(Regs.VirtReady);
-    Fr.VirtCrReady = std::move(Regs.VirtCrReady);
+    Fr.Virt = std::exchange(Regs.Virt, {});
+    Fr.VirtReady = std::exchange(Regs.VirtReady, {});
     CallStack.push_back(std::move(Fr));
-    Regs.Virt.clear();
-    Regs.VirtCr.clear();
-    Regs.VirtReady.clear();
-    Regs.VirtCrReady.clear();
     CurF = Callee;
     BlockIdx = 0;
     InstrIdx = 0;
@@ -630,9 +626,7 @@ bool Machine::step(const Instr &I, RunResult &R, bool &Done) {
     BlockIdx = Fr.BlockIdx;
     InstrIdx = Fr.InstrIdx;
     Regs.Virt = std::move(Fr.Virt);
-    Regs.VirtCr = std::move(Fr.VirtCr);
     Regs.VirtReady = std::move(Fr.VirtReady);
-    Regs.VirtCrReady = std::move(Fr.VirtCrReady);
     return true;
   }
 
@@ -709,7 +703,7 @@ vsc::computeGlobalLayout(const Module &M) {
 
 int64_t vsc::readMemoryWord(const RunResult &R, uint64_t Addr,
                             unsigned Size) {
-  if (Addr + Size > R.Memory.size())
+  if (Size > R.Memory.size() || Addr > R.Memory.size() - Size)
     return 0;
   uint64_t V = 0;
   for (unsigned B = 0; B != Size; ++B)

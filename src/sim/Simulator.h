@@ -74,10 +74,9 @@ struct RunResult {
   /// ("func:from->to", metacharacters escaped) — ground truth the
   /// low-overhead-profiling inference is tested against.
   std::unordered_map<std::string, uint64_t> EdgeCounts;
-  /// Final memory image (only when RunOptions::KeepMemory).
+  /// Final memory image (only when RunOptions::KeepMemory); the globals
+  /// sit at computeGlobalLayout's addresses.
   std::vector<uint8_t> Memory;
-  /// Base address of each global (for reading counters back).
-  std::unordered_map<std::string, uint64_t> GlobalBase;
 
   /// Functional-equivalence key: two runs with equal fingerprints produced
   /// the same observable behaviour.

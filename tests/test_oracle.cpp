@@ -230,8 +230,167 @@ TEST(Interp, AgreesWithSimulatorOnFuzzSeeds) {
       EXPECT_EQ(Sim.Output, Ref.Output) << "seed " << Seed;
       EXPECT_EQ(Sim.ExitCode, Ref.ExitCode) << "seed " << Seed;
       EXPECT_EQ(Sim.MemDigest, Ref.MemDigest) << "seed " << Seed;
+      // The fast path and the interpreter share their value core
+      // (sim/ValueCore.h); the legacy engine keeps its own copy, so it
+      // catches a bug the two share.
+      RunResult Legacy = simulateLegacy(*M, rs6000(), SO);
+      ASSERT_FALSE(Legacy.Trapped) << "seed " << Seed << ": "
+                                   << Legacy.TrapMsg;
+      EXPECT_EQ(Legacy.Output, Ref.Output) << "seed " << Seed;
+      EXPECT_EQ(Legacy.ExitCode, Ref.ExitCode) << "seed " << Seed;
+      EXPECT_EQ(Legacy.MemDigest, Ref.MemDigest) << "seed " << Seed;
     }
   }
+}
+
+/// Every trap the interpreter shares with the simulators prints the
+/// independent legacy engine's text. (A blown step budget is not a trap
+/// in the interpreter, so it is not compared.)
+TEST(Interp, TrapTextsMatchLegacy) {
+  struct Case {
+    const char *Name;
+    const char *Text;
+  };
+  std::vector<Case> Cases = {
+      {"divide by zero", R"(
+func main(0) {
+entry:
+  LI r32 = 7
+  LI r33 = 0
+  DIV r3 = r32, r33
+  RET
+}
+)"},
+      {"unknown callee", R"(
+func main(0) {
+entry:
+  CALL nosuch, 0
+  RET
+}
+)"},
+      {"unmapped load", R"(
+func main(0) {
+entry:
+  LI r32 = 99999999
+  L r3 = 0(r32)
+  RET
+}
+)"},
+      {"missing entry", R"(
+func notmain(0) {
+entry:
+  RET
+}
+)"},
+      {"unknown label", R"(
+func main(0) {
+entry:
+  B nowhere
+}
+)"},
+      {"unknown global", R"(
+func main(0) {
+entry:
+  LTOC r32 = .nosuch
+  RET
+}
+)"},
+      {"falls off the end", R"(
+func main(0) {
+entry:
+  LI r3 = 0
+}
+)"},
+      {"unmapped store", R"(
+func main(0) {
+entry:
+  LI r32 = 99999999
+  LI r33 = 1
+  ST 0(r32) = r33
+  RET
+}
+)"},
+  };
+  for (const Case &C : Cases) {
+    std::string Err;
+    auto M = parseModule(C.Text, &Err);
+    ASSERT_TRUE(M) << C.Name << ": " << Err;
+    RunResult Legacy = simulateLegacy(*M, rs6000());
+    InterpResult Ref = interpret(*M);
+    ASSERT_TRUE(Legacy.Trapped) << C.Name;
+    EXPECT_TRUE(Ref.Trapped) << C.Name;
+    EXPECT_EQ(Ref.TrapMsg, Legacy.TrapMsg) << C.Name;
+  }
+}
+
+/// An access whose end wraps past 2^64 is unmapped: it traps with the
+/// legacy engine's text, and a !safe load reads zero and counts a
+/// SpecFault. Addr + Size wraps to a page-zero address, so a bounds check
+/// must not form it.
+TEST(Interp, WrappedAddressesAreUnmapped) {
+  struct Case {
+    const char *Name;
+    const char *Text;
+  };
+  std::vector<Case> Cases = {
+      {"store at -4 (size 8)", R"(
+func main(0) {
+entry:
+  LI r32 = -4
+  LI r33 = 7
+  ST 0(r32):8 = r33
+  RET
+}
+)"},
+      {"load at -4 (size 8)", R"(
+func main(0) {
+entry:
+  LI r32 = -4
+  L r3 = 0(r32):8
+  RET
+}
+)"},
+      {"store at -2 (size 4)", R"(
+func main(0) {
+entry:
+  LI r32 = -2
+  LI r33 = 7
+  ST 0(r32) = r33
+  RET
+}
+)"},
+      {"load at -2 (size 4)", R"(
+func main(0) {
+entry:
+  LI r32 = -2
+  L r3 = 0(r32)
+  RET
+}
+)"},
+  };
+  for (const Case &C : Cases) {
+    auto M = parseOrDie(C.Text);
+    ASSERT_TRUE(M) << C.Name;
+    InterpResult Ref = interpret(*M);
+    EXPECT_TRUE(Ref.Trapped) << C.Name;
+    EXPECT_NE(Ref.TrapMsg.find("unmapped address"), std::string::npos)
+        << C.Name << ": " << Ref.TrapMsg;
+    EXPECT_EQ(Ref.TrapMsg, simulateLegacy(*M, rs6000()).TrapMsg) << C.Name;
+  }
+
+  auto M = parseOrDie(R"(
+func main(0) {
+entry:
+  LI r32 = -4
+  L r3 = 0(r32):8 !safe
+  RET
+}
+)");
+  ASSERT_TRUE(M);
+  InterpResult R = interpret(*M);
+  EXPECT_FALSE(R.Trapped) << R.TrapMsg;
+  EXPECT_EQ(R.ExitCode, 0);
+  EXPECT_EQ(R.SpecFaults, 1u);
 }
 
 //===----------------------------------------------------------------------===//

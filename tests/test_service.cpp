@@ -376,6 +376,24 @@ TEST(CompileServiceTest, DeeplyNestedSourceIsAnErrorResponse) {
   EXPECT_EQ(Out[1].Text, CompileService().handle(Li).Text);
 }
 
+// A store whose end wraps past 2^64 (p = -2, four bytes) is a trap in the
+// response: Addr + Size wraps to 2, so a bounds check must not form it.
+TEST(CompileServiceTest, WrappedStoreIsATrapResponse) {
+  ServiceRequest Req;
+  Req.Kind = ServiceRequest::Op::Simulate;
+  Req.Source =
+      "int main(int scale) { int *p = 0 - 2 - scale; *p = 7; return 0; }";
+  Req.Name = "w";
+  Req.Args = {0};
+  ServiceResponse Resp = CompileService().handle(Req);
+  ASSERT_TRUE(Resp.Ok) << Resp.Text;
+  const std::string Trap =
+      " trap=store to unmapped address 18446744073709551614";
+  ASSERT_GE(Resp.Text.size(), Trap.size()) << Resp.Text;
+  EXPECT_EQ(Resp.Text.substr(Resp.Text.size() - Trap.size()), Trap)
+      << Resp.Text;
+}
+
 // The vscd parse loop, hoisted into the library so this contract is
 // testable without a process: every request line in the stream becomes
 // exactly one slot, blank/comment lines vanish, parse errors are captured

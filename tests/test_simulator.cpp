@@ -336,9 +336,8 @@ TEST(Simulator, FingerprintDetectsDifferences) {
 }
 
 TEST(Simulator, KeepMemoryExposesGlobals) {
-  RunOptions Opts;
-  Opts.KeepMemory = true;
-  RunResult R = runText(R"(
+  std::string Err;
+  auto M = parseModule(R"(
 global counter : 8
 func main(0) {
 entry:
@@ -348,10 +347,14 @@ entry:
   RET
 }
 )",
-                        Opts);
+                       &Err);
+  ASSERT_TRUE(M) << Err;
+  RunOptions Opts;
+  Opts.KeepMemory = true;
+  RunResult R = simulate(*M, rs6000(), Opts);
   ASSERT_FALSE(R.Trapped) << R.TrapMsg;
   ASSERT_FALSE(R.Memory.empty());
-  EXPECT_EQ(readMemoryWord(R, R.GlobalBase.at("counter"), 4), 123);
+  EXPECT_EQ(readMemoryWord(R, computeGlobalLayout(*M).at("counter"), 4), 123);
 }
 
 TEST(Simulator, LiKernelFindsItem) {
