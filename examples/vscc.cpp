@@ -29,6 +29,7 @@
 ///                          the VSC_THREADS environment variable)
 ///     --emit-ir            print the optimized IR instead of running
 ///     --stats              print cycles / pathlength / stall breakdown
+///                          and the analysis builds by kind
 ///     -- A B C             integer arguments passed to main()
 ///
 //===----------------------------------------------------------------------===//
@@ -261,6 +262,15 @@ int main(int Argc, char **Argv) {
                      static_cast<double>(R.Cycles ? R.Cycles : 1),
                  static_cast<unsigned long long>(R.OperandStallCycles),
                  static_cast<unsigned long long>(R.BranchStallCycles));
+    std::fprintf(stderr, "analysis builds:");
+    for (unsigned K = 0; K != NumAnalysisKinds; ++K)
+      std::fprintf(stderr, " %s=%llu",
+                   analysisKindName(static_cast<AnalysisKind>(K)),
+                   static_cast<unsigned long long>(
+                       PStats.AnalysisMissesByKind[K]));
+    std::fprintf(stderr, " (total %llu, cache hits %llu)\n",
+                 static_cast<unsigned long long>(PStats.AnalysisMisses),
+                 static_cast<unsigned long long>(PStats.AnalysisHits));
   }
   return static_cast<int>(R.ExitCode & 0xff);
 }

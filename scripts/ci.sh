@@ -41,10 +41,16 @@ run_config() {
   done
   # The compiled-output golden digests ride along: with the cache checker
   # on, every lazily fetched analysis is compared with a fresh recompute.
-  echo "=== [$name] oracle+alias-audit fuzz + analysis checking, seed base $FUZZ_SEED ==="
-  VSC_FUZZ_SEED="$FUZZ_SEED" VSC_CHECK_ANALYSES=1 \
-    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-    -R 'Fuzz|CompileGolden'
+  # So do the suites of the passes that keep analyses across their own
+  # edits (global scheduling verifies the cache after every hoist and
+  # re-runs every probe it skipped) and of the cache itself, at both
+  # thread counts.
+  for threads in 1 4; do
+    echo "=== [$name] oracle+alias-audit fuzz + analysis checking, seed base $FUZZ_SEED, VSC_THREADS=$threads ==="
+    VSC_FUZZ_SEED="$FUZZ_SEED" VSC_CHECK_ANALYSES=1 VSC_THREADS="$threads" \
+      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+      -R 'Fuzz|CompileGolden|GlobalSchedule|LocalSchedule|JoinHoist|Combining|Cfg|AnalysisCache|AnalysisChecker'
+  done
   # The flow-sensitive alias tier and its dynamic audit are the soundness
   # backbone of every disambiguation consumer; run their suites explicitly
   # so a filtered invocation above can never silently skip them. The

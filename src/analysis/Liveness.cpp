@@ -2,6 +2,8 @@
 
 #include "analysis/Liveness.h"
 
+#include <algorithm>
+
 using namespace vsc;
 
 RegUniverse::RegUniverse(const Function &F) {
@@ -72,29 +74,61 @@ Liveness::Liveness(const Cfg &G, const RegUniverse &U) : U(U) {
   }
 }
 
+void Liveness::stepBack(const Instr &Ins, BitVector &Live,
+                        std::vector<Reg> &Tmp) const {
+  Tmp.clear();
+  Ins.collectDefs(Tmp);
+  for (Reg R : Tmp)
+    if (int Idx = U.indexOf(R); Idx >= 0)
+      Live.reset(static_cast<size_t>(Idx));
+  Tmp.clear();
+  Ins.collectUses(Tmp);
+  for (Reg R : Tmp)
+    if (int Idx = U.indexOf(R); Idx >= 0)
+      Live.set(static_cast<size_t>(Idx));
+}
+
+bool Liveness::updateAfterHoist(const Cfg &G, const BasicBlock *Source) {
+  BitVector NewIn = Out.at(Source);
+  std::vector<Reg> Tmp;
+  for (size_t I = Source->size(); I-- > 0;)
+    stepBack(Source->instrs()[I], NewIn, Tmp);
+  if (NewIn == In.at(Source))
+    return false;
+  In[Source] = std::move(NewIn);
+  for (const BasicBlock *Q : G.preds(Source)) {
+    BitVector NewOut(U.size());
+    for (const CfgEdge &E : G.succs(Q))
+      NewOut |= In.at(E.To);
+    Out[Q] = std::move(NewOut);
+  }
+  return true;
+}
+
+bool Liveness::isLiveAfter(const BasicBlock *BB, size_t Idx, Reg R) const {
+  std::vector<Reg> Tmp;
+  for (size_t I = Idx + 1; I < BB->size(); ++I) {
+    const Instr &Ins = BB->instrs()[I];
+    Tmp.clear();
+    Ins.collectUses(Tmp);
+    if (std::find(Tmp.begin(), Tmp.end(), R) != Tmp.end())
+      return true;
+    Tmp.clear();
+    Ins.collectDefs(Tmp);
+    if (std::find(Tmp.begin(), Tmp.end(), R) != Tmp.end())
+      return false;
+  }
+  return isLiveOut(BB, R);
+}
+
 std::vector<BitVector> Liveness::liveAtEachInstr(const BasicBlock *BB) const {
   size_t N = U.size();
   std::vector<BitVector> Live(BB->size() + 1, BitVector(N));
   Live[BB->size()] = liveOut(BB);
   std::vector<Reg> Tmp;
   for (size_t I = BB->size(); I-- > 0;) {
-    BitVector Cur = Live[I + 1];
-    const Instr &Ins = BB->instrs()[I];
-    Tmp.clear();
-    Ins.collectDefs(Tmp);
-    for (Reg R : Tmp) {
-      int Idx = U.indexOf(R);
-      if (Idx >= 0)
-        Cur.reset(static_cast<size_t>(Idx));
-    }
-    Tmp.clear();
-    Ins.collectUses(Tmp);
-    for (Reg R : Tmp) {
-      int Idx = U.indexOf(R);
-      if (Idx >= 0)
-        Cur.set(static_cast<size_t>(Idx));
-    }
-    Live[I] = std::move(Cur);
+    Live[I] = Live[I + 1];
+    stepBack(BB->instrs()[I], Live[I], Tmp);
   }
   return Live;
 }

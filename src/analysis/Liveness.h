@@ -68,7 +68,26 @@ public:
   /// (index size()) = live-out of the block. Recomputed on demand.
   std::vector<BitVector> liveAtEachInstr(const BasicBlock *BB) const;
 
+  /// \returns true if \p R is live immediately after instruction \p Idx
+  /// of \p BB: the first later instruction of the block that mentions R
+  /// reads it, or none mentions it and R is live-out. Builds no sets.
+  bool isLiveAfter(const BasicBlock *BB, size_t Idx, Reg R) const;
+
+  /// Updates the solution after one global-scheduling hoist: an
+  /// instruction left the non-terminator prefix of \p Source, legally
+  /// for every predecessor of Source, and a copy joined each
+  /// predecessor's non-terminator prefix. Only Source's live-in and its
+  /// predecessors' live-out can change (DESIGN.md §12 proves it); they are
+  /// recomputed from \p G, the unchanged graph. \returns true if Source's
+  /// live-in set changed.
+  bool updateAfterHoist(const Cfg &G, const BasicBlock *Source);
+
 private:
+  /// Steps \p Live, the set live just after \p Ins, back to the set live
+  /// just before it. \p Tmp is scratch.
+  void stepBack(const Instr &Ins, BitVector &Live,
+                std::vector<Reg> &Tmp) const;
+
   const RegUniverse &U;
   std::unordered_map<const BasicBlock *, BitVector> In, Out;
 };

@@ -556,6 +556,38 @@ bool AliasAnalysis::safeSpeculativeLoad(const Instr &Load,
   return false;
 }
 
+void AliasAnalysis::labelFreeLocations(
+    const std::vector<uint32_t> &Ids, std::vector<LabelFreeLoc> &Locs,
+    std::vector<std::string> &SymNames) const {
+  // Few distinct values and symbols per list: linear rank lookups.
+  std::vector<uint64_t> Vns;
+  std::vector<uint32_t> SymIdx;
+  auto RankOf = [](auto &Seen, auto Label) {
+    auto It = std::find(Seen.begin(), Seen.end(), Label);
+    if (It == Seen.end())
+      It = Seen.insert(Seen.end(), Label);
+    return static_cast<uint32_t>(It - Seen.begin());
+  };
+  for (uint32_t Id : Ids) {
+    LabelFreeLoc L;
+    if (const AbsVal *V = location(Id)) {
+      L.K = V->K;
+      L.HasOff = V->HasOff;
+      L.Off = V->HasOff ? V->Off : 0;
+      if (V->K == Base::Value) {
+        L.Once = V->Once;
+        L.Rank = RankOf(Vns, V->Vn);
+      } else if (V->K == Base::Global) {
+        size_t Before = SymIdx.size();
+        L.Rank = RankOf(SymIdx, V->Sym);
+        if (SymIdx.size() != Before)
+          SymNames.push_back(Syms[V->Sym]);
+      }
+    }
+    Locs.push_back(L);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Rendering
 //===----------------------------------------------------------------------===//

@@ -171,6 +171,30 @@ public:
   /// is a global with a known in-extent offset or an owned frame slot.
   bool safeSpeculativeLoad(const Instr &Load, const Module *M) const;
 
+  /// A recorded access location with its labels made position-free (see
+  /// labelFreeLocations).
+  struct LabelFreeLoc {
+    AbsVal::Base K = AbsVal::Base::Bottom; ///< Bottom: no recorded location
+    bool Once = false;                     ///< Value only
+    bool HasOff = false;
+    uint32_t Rank = 0; ///< first-appearance rank of the value or symbol
+    int64_t Off = 0;   ///< 0 unless HasOff
+
+    bool operator==(const LabelFreeLoc &O) const = default;
+  };
+
+  /// Appends to \p Locs the location of each access among \p Ids (memory
+  /// access instruction ids), in order, with its value number or symbol
+  /// replaced by its rank of first appearance among them, and to
+  /// \p SymNames the name of each symbol rank. Value numbers and symbol
+  /// indices are minted in visit order, so any code motion can relabel
+  /// them; two builds that give equal lists and names answer alias() and
+  /// safeSpeculativeLoad() alike for every pair and every load among the
+  /// accesses (given the same instructions).
+  void labelFreeLocations(const std::vector<uint32_t> &Ids,
+                          std::vector<LabelFreeLoc> &Locs,
+                          std::vector<std::string> &SymNames) const;
+
   /// Renders \p V ("&g+8", "stack+⊤", "v12+0", "top") for tests and the
   /// cache checker.
   std::string str(const AbsVal &V) const;

@@ -23,12 +23,13 @@ Cfg::Cfg(Function &F) : F(F) {
     PredMap[BB]; // ensure entry exists
 
     // Taken edges from the terminator suffix, in instruction order.
-    for (size_t II = BB->firstTerminatorIdx(); II != BB->size(); ++II) {
+    size_t FirstTerm = BB->firstTerminatorIdx();
+    for (size_t II = FirstTerm; II != BB->size(); ++II) {
       const Instr &I = BB->instrs()[II];
       if (I.isBranch()) {
         BasicBlock *To = F.findBlock(I.Target);
         assert(To && "unresolved branch target (run the verifier)");
-        Succs.push_back(CfgEdge{BB, To, true, static_cast<int>(II)});
+        Succs.push_back(CfgEdge{BB, To, true, static_cast<int>(II - FirstTerm)});
       }
     }
     // Fallthrough edge.

@@ -3,9 +3,9 @@
 /// \file
 /// A lightweight control-flow-graph view over a Function. Successors are
 /// derived from each block's terminator suffix and the layout order
-/// (fallthrough). The view is computed once at construction; passes that
-/// mutate the function rebuild it (functions in this project are small
-/// enough that recomputation is the simpler, safer protocol).
+/// (fallthrough). The view is computed once at construction. It stays
+/// valid while only non-terminators are inserted, erased or rewritten;
+/// an edit of a terminator suffix or of the block list needs a rebuild.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,18 +21,26 @@ namespace vsc {
 
 /// One control-flow edge. \c IsTaken distinguishes the branch-taken edge
 /// from the fallthrough edge (a block can have both to the same target).
-/// For taken edges \c TermIdx is the index (within From's instructions) of
-/// the branch that creates the edge, so edge-splitting can retarget exactly
-/// the right branch; it is -1 for fallthrough edges.
+/// For taken edges \c TermPos is the position of the branch that creates
+/// the edge within From's terminator suffix (0 for the first terminator),
+/// so edge-splitting can retarget exactly the right branch; it is -1 for
+/// fallthrough edges. Counting from the suffix rather than the block start
+/// keeps every edge valid when non-terminators are inserted or erased.
 struct CfgEdge {
   BasicBlock *From = nullptr;
   BasicBlock *To = nullptr;
   bool IsTaken = false;
-  int TermIdx = -1;
+  int TermPos = -1;
+
+  /// The branch that creates a taken edge.
+  Instr &branch() const {
+    return From->instrs()[From->firstTerminatorIdx() +
+                          static_cast<size_t>(TermPos)];
+  }
 
   bool operator==(const CfgEdge &RHS) const {
     return From == RHS.From && To == RHS.To && IsTaken == RHS.IsTaken &&
-           TermIdx == RHS.TermIdx;
+           TermPos == RHS.TermPos;
   }
 };
 

@@ -30,11 +30,11 @@ BasicBlock *vsc::splitEdge(Function &F, const CfgEdge &E) {
   // Taken edge: append a trampoline and retarget the branch.
   BasicBlock *S = F.insertBlock(F.blocks().size(), "split");
   appendBranch(F, S, E.To->label());
-  assert(E.TermIdx >= 0 &&
-         static_cast<size_t>(E.TermIdx) < E.From->size() &&
-         E.From->instrs()[E.TermIdx].Target == E.To->label() &&
-         "stale taken edge");
-  E.From->instrs()[E.TermIdx].Target = S->label();
+  assert(E.TermPos >= 0 &&
+         E.From->firstTerminatorIdx() + static_cast<size_t>(E.TermPos) <
+             E.From->size() &&
+         E.branch().Target == E.To->label() && "stale taken edge");
+  E.branch().Target = S->label();
   return S;
 }
 

@@ -22,7 +22,7 @@ namespace vsc {
 /// Splits \p E by inserting a fresh empty block on it. For a fallthrough
 /// edge the new block is placed between the two blocks in layout; for a
 /// taken edge the new block is appended (ending with "B To") and the branch
-/// identified by E.TermIdx is retargeted. \returns the new block.
+/// identified by E.TermPos is retargeted. \returns the new block.
 BasicBlock *splitEdge(Function &F, const CfgEdge &E);
 
 /// \returns the preheader of \p L (the unique out-of-loop predecessor of

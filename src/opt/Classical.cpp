@@ -321,9 +321,8 @@ static bool dceOnce(Function &F, FunctionAnalyses &FA) {
 bool vsc::deadCodeElim(Function &F, FunctionAnalyses &FA) {
   bool Any = false;
   while (dceOnce(F, FA)) {
-    // Erasing instructions shifts CfgEdge::TermIdx — structural, even
-    // though the graph shape is unchanged.
-    FA.invalidateAll();
+    // Only non-terminators die: the graph and every edge survive.
+    FA.invalidate(PreservedAnalyses::structure());
     Any = true;
   }
   return Any;

@@ -246,9 +246,16 @@ private:
 
 bool Interp::step(const DecodedInstr &D, InterpResult &R, bool &Done) {
   Done = false;
-  auto S1 = [&]() { return Regs.gpr(packedId(D.Src1)); };
-  auto S2 = [&]() { return Regs.gpr(packedId(D.Src2)); };
-  auto Dst = [&]() -> int64_t & { return Regs.gpr(packedId(D.Dst)); };
+  // Forced inline: out of line, every operand access is a call.
+  auto S1 = [&]() __attribute__((always_inline)) {
+    return Regs.gpr(packedId(D.Src1));
+  };
+  auto S2 = [&]() __attribute__((always_inline)) {
+    return Regs.gpr(packedId(D.Src2));
+  };
+  auto Dst = [&]() __attribute__((always_inline)) -> int64_t & {
+    return Regs.gpr(packedId(D.Dst));
+  };
   // Cold-table row of this record (trap symbols, trace formatting,
   // resolved callee) — only touched off the happy path.
   size_t Idx = static_cast<size_t>(&D - Img->Instrs.data());

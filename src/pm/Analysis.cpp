@@ -7,6 +7,26 @@
 
 using namespace vsc;
 
+const char *vsc::analysisKindName(AnalysisKind K) {
+  switch (K) {
+  case AnalysisKind::Cfg:
+    return "cfg";
+  case AnalysisKind::Dominators:
+    return "dominators";
+  case AnalysisKind::PostDominators:
+    return "postdominators";
+  case AnalysisKind::Loops:
+    return "loops";
+  case AnalysisKind::Liveness:
+    return "liveness";
+  case AnalysisKind::Alias:
+    return "alias";
+  case AnalysisKind::MinII:
+    return "minii";
+  }
+  return "?";
+}
+
 //===----------------------------------------------------------------------===//
 // FunctionAnalyses
 //===----------------------------------------------------------------------===//
@@ -19,7 +39,7 @@ void FunctionAnalyses::freshen() {
 
 const Cfg &FunctionAnalyses::cfg() {
   freshen();
-  count(CfgA != nullptr);
+  count(AnalysisKind::Cfg, CfgA != nullptr);
   if (!CfgA)
     CfgA = std::make_unique<Cfg>(F);
   return *CfgA;
@@ -27,7 +47,7 @@ const Cfg &FunctionAnalyses::cfg() {
 
 const Dominators &FunctionAnalyses::dominators() {
   freshen();
-  count(DomA != nullptr);
+  count(AnalysisKind::Dominators, DomA != nullptr);
   if (!DomA)
     DomA = std::make_unique<Dominators>(cfg());
   return *DomA;
@@ -35,7 +55,7 @@ const Dominators &FunctionAnalyses::dominators() {
 
 const Dominators &FunctionAnalyses::postDominators() {
   freshen();
-  count(PostDomA != nullptr);
+  count(AnalysisKind::PostDominators, PostDomA != nullptr);
   if (!PostDomA)
     PostDomA = std::make_unique<Dominators>(cfg(), /*Post=*/true);
   return *PostDomA;
@@ -43,7 +63,7 @@ const Dominators &FunctionAnalyses::postDominators() {
 
 const LoopInfo &FunctionAnalyses::loops() {
   freshen();
-  count(LoopsA != nullptr);
+  count(AnalysisKind::Loops, LoopsA != nullptr);
   if (!LoopsA) {
     const Cfg &G = cfg();
     LoopsA = std::make_unique<LoopInfo>(G, dominators());
@@ -53,7 +73,7 @@ const LoopInfo &FunctionAnalyses::loops() {
 
 const RegUniverse &FunctionAnalyses::universe() {
   freshen();
-  count(UnivA != nullptr);
+  count(AnalysisKind::Liveness, UnivA != nullptr);
   if (!UnivA)
     UnivA = std::make_unique<RegUniverse>(F);
   return *UnivA;
@@ -61,7 +81,7 @@ const RegUniverse &FunctionAnalyses::universe() {
 
 const Liveness &FunctionAnalyses::liveness() {
   freshen();
-  count(LiveA != nullptr);
+  count(AnalysisKind::Liveness, LiveA != nullptr);
   if (!LiveA) {
     const Cfg &G = cfg();
     LiveA = std::make_unique<Liveness>(G, universe());
@@ -71,7 +91,7 @@ const Liveness &FunctionAnalyses::liveness() {
 
 const AliasAnalysis &FunctionAnalyses::aliasAnalysis() {
   freshen();
-  count(AliasA != nullptr);
+  count(AnalysisKind::Alias, AliasA != nullptr);
   if (!AliasA) {
     // Cfg/LoopInfo are construction inputs only; the built analysis holds
     // no reference to them, so it caches independently.
@@ -87,7 +107,7 @@ const MinIIAnalysis &FunctionAnalyses::minII(const MachineModel &MM,
   uint64_t Key = machineFingerprint(MM);
   bool Hit = MinIIA && MinIIA->machineKey() == Key &&
              MinIIA->flowAlias() == FlowAlias;
-  count(Hit);
+  count(AnalysisKind::MinII, Hit);
   if (!Hit) {
     const Cfg &G = cfg();
     const LoopInfo &LI = loops();
@@ -139,6 +159,16 @@ void FunctionAnalyses::invalidate(const PreservedAnalyses &PA) {
     CfgA.reset();
 }
 
+bool FunctionAnalyses::noteHoist(const BasicBlock *Source) {
+  freshen();
+  bool LiveInMoved = true;
+  if (LiveA)
+    LiveInMoved = LiveA->updateAfterHoist(*CfgA, Source);
+  invalidate(
+      PreservedAnalyses::structure().preserve(AnalysisKind::Liveness));
+  return LiveInMoved;
+}
+
 void FunctionAnalyses::invalidateAll() {
   MinIIA.reset();
   AliasA.reset();
@@ -186,7 +216,7 @@ std::string summarizeCfg(const Function &F, const Cfg &G) {
     OS << BB->label() << "[" << G.rpoIndex(BB) << "]:";
     for (const CfgEdge &E : G.succs(BB))
       OS << " " << E.To->label() << (E.IsTaken ? "/t" : "/f") << "@"
-         << E.TermIdx;
+         << E.TermPos;
     OS << ";";
   }
   return OS.str();
@@ -215,7 +245,7 @@ std::string summarizeLoops(const LoopInfo &LI) {
     OS << "|exit:";
     for (const CfgEdge &E : L.Exits)
       OS << E.From->label() << ">" << E.To->label()
-         << (E.IsTaken ? "/t" : "/f") << "@" << E.TermIdx << " ";
+         << (E.IsTaken ? "/t" : "/f") << "@" << E.TermPos << " ";
     OS << "};";
   }
   return OS.str();
@@ -250,6 +280,8 @@ std::string summarizeLiveness(const Function &F, const RegUniverse &U,
 } // namespace
 
 std::string FunctionAnalyses::verifyCache() {
+  if (!CheckFailure.empty())
+    return CheckFailure;
   // An epoch mismatch means the cache is already logically empty — the
   // next getter recomputes — so only epoch-fresh entries can lie.
   freshen();
@@ -342,8 +374,11 @@ FunctionAnalyses::Stats FunctionAnalysisManager::totalStats() const {
   std::lock_guard<std::mutex> Lock(Mu);
   FunctionAnalyses::Stats Total;
   for (const auto &KV : Entries) {
-    Total.Hits += KV.second->stats().Hits;
-    Total.Misses += KV.second->stats().Misses;
+    const FunctionAnalyses::Stats &S = KV.second->stats();
+    Total.Hits += S.Hits;
+    Total.Misses += S.Misses;
+    for (unsigned K = 0; K != NumAnalysisKinds; ++K)
+      Total.MissesByKind[K] += S.MissesByKind[K];
   }
   return Total;
 }

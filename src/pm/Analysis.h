@@ -24,13 +24,12 @@
 ///     Liveness drops the RegUniverse it was numbered against.
 ///
 /// The preservation rules passes follow (see DESIGN.md §9):
-///  - inserting or erasing ANY instruction invalidates structurally — even
-///    when the graph shape is unchanged — because CfgEdge::TermIdx indexes
-///    a branch inside its block's instruction vector, and Loop::Exits
-///    store such edges;
-///  - rewriting instructions in place (operand/opcode changes that leave
-///    branches and block boundaries alone) preserves structure() but not
-///    Liveness;
+///  - editing a terminator suffix (adding, removing, retargeting or
+///    inverting a branch) invalidates structurally;
+///  - inserting, erasing or rewriting non-terminators preserves
+///    structure() but not Liveness: CfgEdge::TermPos counts a branch from
+///    the start of its block's terminator suffix, so the edges (and the
+///    Loop::Exits that store them) survive such edits;
 ///  - reordering only the non-terminator prefix of a block (local
 ///    scheduling) preserves all().
 ///
@@ -78,13 +77,16 @@ enum class AnalysisKind : unsigned {
 };
 constexpr unsigned NumAnalysisKinds = 7;
 
+/// Lower-case name of \p K ("cfg", "dominators", ...), for stats output.
+const char *analysisKindName(AnalysisKind K);
+
 /// What a pass kept intact, as a bitmask over AnalysisKind. Passes build
 /// one of these as their return value; the manager applies it (plus the
 /// dependency closure) to the cache.
 class PreservedAnalyses {
 public:
-  /// Nothing survives. The safe default for any pass that inserts or
-  /// erases instructions (see the TermIdx rule in the file comment).
+  /// Nothing survives. The safe default for any pass that edits a
+  /// terminator suffix (see the rules in the file comment).
   static PreservedAnalyses none() { return PreservedAnalyses(0); }
 
   /// Everything survives. Correct only for passes that change nothing or
@@ -94,8 +96,10 @@ public:
   /// Structure survives, register contents do not: Cfg, Dominators,
   /// PostDominators and Loops are kept; Liveness and the
   /// alias analysis (both functions of register contents) are dropped.
-  /// Correct for in-place rewrites that leave every branch and block
-  /// boundary untouched (copy propagation, local value numbering).
+  /// Correct for edits that leave every branch and block boundary
+  /// untouched: in-place rewrites (copy propagation, local value
+  /// numbering) and non-terminator insertion or erasure (dead-code
+  /// elimination, code motion into existing blocks).
   static PreservedAnalyses structure() {
     PreservedAnalyses PA = all();
     return PA.abandon(AnalysisKind::Liveness)
@@ -133,6 +137,9 @@ public:
   struct Stats {
     uint64_t Hits = 0;   ///< getter served from cache
     uint64_t Misses = 0; ///< getter had to compute
+    /// Misses by AnalysisKind; they sum to Misses. A RegUniverse build
+    /// counts under Liveness.
+    uint64_t MissesByKind[NumAnalysisKinds] = {};
   };
 
   explicit FunctionAnalyses(Function &F) : F(F), Epoch(F.cfgEpoch()) {}
@@ -157,6 +164,15 @@ public:
   void invalidate(const PreservedAnalyses &PA);
   void invalidateAll();
 
+  /// Carries the cache across one global-scheduling hoist: an instruction
+  /// left the non-terminator prefix of \p Source and a copy joined the
+  /// non-terminator prefix of every predecessor of Source. Structure
+  /// survives (see the rules in the file comment), a cached Liveness is
+  /// updated in place (only Source's live-in and its predecessors'
+  /// live-out can change; DESIGN.md §12), and the alias facts and MinII
+  /// are dropped. \returns true if Source's live-in set may have changed.
+  bool noteHoist(const BasicBlock *Source);
+
   /// \returns true if \p K is cached AND still structurally fresh (an
   /// epoch mismatch counts as not cached). Test/bench introspection.
   bool hasCached(AnalysisKind K) const;
@@ -166,17 +182,39 @@ public:
   /// Debug check: recomputes every cached analysis from the function's
   /// current state and compares against the cache. \returns "" when
   /// consistent, else a message naming the stale analysis — evidence of a
-  /// pass that mutated the CFG while claiming preservation.
+  /// pass that mutated the CFG while claiming preservation — or the first
+  /// self-check failure a pass reported.
   std::string verifyCache();
+
+  /// Whether the running pass should check its own cache upkeep as it
+  /// goes. The FunctionPassManager sets this when it verifies the cache
+  /// after every pass (VSC_CHECK_ANALYSES=1).
+  bool checking() const { return Checking; }
+  void setChecking(bool On) { Checking = On; }
+  /// Records a failed self-check of the running pass; verifyCache()
+  /// reports the first one.
+  void reportCheckFailure(const std::string &Msg) {
+    if (CheckFailure.empty())
+      CheckFailure = Msg;
+  }
 
 private:
   /// Drops everything if the function's CFG epoch moved past the cache.
   void freshen();
-  void count(bool Hit) { Hit ? ++Counters.Hits : ++Counters.Misses; }
+  void count(AnalysisKind K, bool Hit) {
+    if (Hit) {
+      ++Counters.Hits;
+      return;
+    }
+    ++Counters.Misses;
+    ++Counters.MissesByKind[static_cast<unsigned>(K)];
+  }
 
   Function &F;
   uint64_t Epoch;
   Stats Counters;
+  bool Checking = false;
+  std::string CheckFailure;
 
   std::unique_ptr<Cfg> CfgA;
   std::unique_ptr<Dominators> DomA;

@@ -14,6 +14,7 @@ FunctionPassManager::FunctionPassManager() {
 std::string FunctionPassManager::run(Function &F, Module &M,
                                      FunctionAnalyses &FA,
                                      const PassInstrumentation *PI) const {
+  FA.setChecking(CheckAnalyses);
   for (const auto &P : Passes) {
     PreservedAnalyses PA = P->run(F, M, FA);
     FA.invalidate(PA);

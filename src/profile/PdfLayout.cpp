@@ -130,7 +130,7 @@ bool vsc::pdfReverseBranches(Function &F, const ProfileData &P,
       // Taken probability.
       double Prob = 0.0;
       for (const CfgEdge &E : G.succs(BB))
-        if (E.IsTaken && E.TermIdx == static_cast<int>(BB->size() - 1))
+        if (E.IsTaken && &E.branch() == &Last)
           Prob = P.edgeProbability(F, E);
       if (Prob <= Threshold)
         continue;

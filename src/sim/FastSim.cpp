@@ -25,8 +25,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace vsc;
 
@@ -45,6 +49,54 @@ struct FastFrame {
   decltype(RegFile::VirtReady) VirtReady;
 };
 
+/// A run's memory image in an anonymous mapping of its own. From the
+/// malloc heap, a freed 4 MB image could stay pinned behind a small later
+/// allocation once glibc had raised its mmap threshold, so the resident
+/// size depended on allocation order. A fresh mapping is already zero; a
+/// reused one of the same size is cleared in place.
+class MappedMemory {
+public:
+  MappedMemory() = default;
+  MappedMemory(const MappedMemory &) = delete;
+  MappedMemory &operator=(const MappedMemory &) = delete;
+  ~MappedMemory() { unmap(); }
+
+  /// Resets the image to \p Bytes copies of \p Fill (always zero).
+  void assign(size_t Bytes, uint8_t Fill) {
+    assert(Fill == 0 && "a run's memory starts zeroed");
+    if (Bytes != Size) {
+      unmap();
+      if (Bytes) {
+        void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (P == MAP_FAILED)
+          throw std::bad_alloc();
+        Base = static_cast<uint8_t *>(P);
+        Size = Bytes;
+      }
+      return;
+    }
+    std::memset(Base, Fill, Size);
+  }
+
+  size_t size() const { return Size; }
+  uint8_t *data() { return Base; }
+  const uint8_t *data() const { return Base; }
+  uint8_t &operator[](size_t I) { return Base[I]; }
+  uint8_t operator[](size_t I) const { return Base[I]; }
+
+private:
+  void unmap() {
+    if (Base)
+      munmap(Base, Size);
+    Base = nullptr;
+    Size = 0;
+  }
+
+  uint8_t *Base = nullptr;
+  size_t Size = 0;
+};
+
 /// Storage pooled across the runs of a batch: the memory image, the dense
 /// counter vectors and the call stack keep their capacity between runs.
 /// The counter slots are 64-bit end to end — the per-run vectors here, the
@@ -52,7 +104,7 @@ struct FastFrame {
 /// high-trip-count batch runs cannot wrap (see test_sim_fastpath's
 /// counter-width regression).
 struct Arena {
-  std::vector<uint8_t> Mem;
+  MappedMemory Mem;
   std::vector<uint64_t> BlockHits;
   std::vector<uint64_t> EdgeHits;
   std::vector<FastFrame> CallStack;
@@ -110,7 +162,9 @@ private:
 
   /// Loads a gpr by packed operand. By-value on purpose: gpr() references
   /// can dangle across another gpr() call (virtual-register growth).
-  int64_t gprVal(PackedReg P) { return Regs.gpr(packedId(P)); }
+  [[gnu::always_inline]] int64_t gprVal(PackedReg P) {
+    return Regs.gpr(packedId(P));
+  }
 
   RunResult &trap(RunResult &R, const std::string &Msg) {
     R.Trapped = true;
@@ -127,7 +181,7 @@ private:
     R.OperandStallCycles = Core.operandStallCycles();
     R.BranchStallCycles = Core.branchStallCycles();
     if (Opts.KeepMemory)
-      R.Memory = Mem;
+      R.Memory.assign(Mem.data(), Mem.data() + Mem.size());
     if (DenseOut) {
       // Dense export: hand the slot vectors to the caller untouched (the
       // arena keeps its capacity — copy, don't move) and skip the string-
@@ -151,9 +205,10 @@ private:
   // --- operand / def plumbing ---------------------------------------------
   // The legacy engine derives use/def sets per instruction; the packed
   // records carry no pools, so each handler states its operand floor and
-  // commits inline through these class-dispatched helpers.
+  // commits inline through these class-dispatched helpers (forced inline:
+  // every handler calls them, and out of line each operand is a call).
 
-  uint64_t readyOf(PackedReg P) {
+  [[gnu::always_inline]] uint64_t readyOf(PackedReg P) {
     switch (packedClass(P)) {
     case RegClass::Gpr:
       return Regs.gprReady(packedId(P));
@@ -166,7 +221,7 @@ private:
     }
   }
 
-  void setReadyOf(PackedReg P, uint64_t T) {
+  [[gnu::always_inline]] void setReadyOf(PackedReg P, uint64_t T) {
     switch (packedClass(P)) {
     case RegClass::Gpr:
       Regs.gprReady(packedId(P)) = T;
@@ -245,7 +300,7 @@ private:
   const MachineModel &Model;
   const RunOptions &Opts;
 
-  std::vector<uint8_t> &Mem;
+  MappedMemory &Mem;
   std::vector<uint64_t> &BlockHits;
   std::vector<uint64_t> &EdgeHits;
   std::vector<FastFrame> &CallStack;

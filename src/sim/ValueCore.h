@@ -132,11 +132,16 @@ inline Access classifyAccess(uint64_t Addr, unsigned Size,
 
 enum class LoadFault : uint8_t { None, PageZero, Unmapped };
 
+// The memory helpers take any byte buffer with size() and operator[]
+// (fillMemory also assign() and data()): the oracle's interpreter keeps a
+// std::vector, the fast path its own mapping.
+
 /// Loads \p Size bytes at \p Addr into \p V, little-endian and sign-
 /// extended. Page zero reads as zero when \p PageZeroReadable and faults
 /// otherwise; on a fault \p V is zero.
-inline LoadFault load(const std::vector<uint8_t> &Mem, uint64_t Addr,
-                      unsigned Size, bool PageZeroReadable, int64_t &V) {
+template <typename MemBuf>
+inline LoadFault load(const MemBuf &Mem, uint64_t Addr, unsigned Size,
+                      bool PageZeroReadable, int64_t &V) {
   V = 0;
   switch (classifyAccess(Addr, Size, Mem.size())) {
   case Access::PageZero:
@@ -160,8 +165,8 @@ inline LoadFault load(const std::vector<uint8_t> &Mem, uint64_t Addr,
 
 /// Stores the low \p Size bytes of \p V at \p Addr, little-endian.
 /// \returns false, writing nothing, unless the access is mapped.
-inline bool store(std::vector<uint8_t> &Mem, uint64_t Addr, unsigned Size,
-                  int64_t V) {
+template <typename MemBuf>
+inline bool store(MemBuf &Mem, uint64_t Addr, unsigned Size, int64_t V) {
   if (classifyAccess(Addr, Size, Mem.size()) != Access::Mapped)
     return false;
   for (unsigned B = 0; B != Size; ++B)
@@ -171,8 +176,8 @@ inline bool store(std::vector<uint8_t> &Mem, uint64_t Addr, unsigned Size,
 
 /// Resets \p Mem to \p Bytes zeroes with the initializers of \p Data at
 /// DataBase.
-inline void fillMemory(std::vector<uint8_t> &Mem, uint64_t Bytes,
-                       const DataLayout &Data) {
+template <typename MemBuf>
+inline void fillMemory(MemBuf &Mem, uint64_t Bytes, const DataLayout &Data) {
   Mem.assign(Bytes, 0);
   if (!Data.DataInit.empty() && Mem.size() > DataBase) {
     size_t N = std::min<size_t>(Data.DataInit.size(), Mem.size() - DataBase);
@@ -185,8 +190,8 @@ constexpr uint64_t FnvPrime = 1099511628211ULL;
 
 /// FNV-1a over the global data area [DataBase, DataEnd): the MemDigest of
 /// a run.
-inline uint64_t dataDigest(const std::vector<uint8_t> &Mem,
-                           uint64_t DataEnd) {
+template <typename MemBuf>
+inline uint64_t dataDigest(const MemBuf &Mem, uint64_t DataEnd) {
   uint64_t H = FnvOffset;
   for (uint64_t A = DataBase; A < DataEnd && A < Mem.size(); ++A) {
     H ^= Mem[A];

@@ -247,13 +247,8 @@ bool combineFrom(Function &F, const Cfg &G, const Liveness &Live, Pos Start,
   bool LastIsKiller =
       LastUseKillsRd && LastUse.BB == Path.back().BB &&
       LastUse.Idx == Path.back().Idx;
-  if (!LastIsKiller) {
-    std::vector<BitVector> LiveAt = Live.liveAtEachInstr(LastUse.BB);
-    int RdIdx = Live.universe().indexOf(RD);
-    if (RdIdx >= 0 &&
-        LiveAt[LastUse.Idx + 1].test(static_cast<size_t>(RdIdx)))
-      return false;
-  }
+  if (!LastIsKiller && Live.isLiveAfter(LastUse.BB, LastUse.Idx, RD))
+    return false;
 
   auto RewriteUse = [&](Instr &I) {
     bool Ok = IsCopy ? rewriteCopyUse(I, RD, RS)
@@ -324,6 +319,8 @@ bool combineFrom(Function &F, const Cfg &G, const Liveness &Live, Pos Start,
                  StartIns.end());
   for (Instr &I : Dup)
     StartIns.push_back(std::move(I));
+  // The start block's terminator suffix changed in place.
+  F.noteCfgEdit();
   return true;
 }
 
@@ -347,12 +344,8 @@ bool coalesceOnce(Function &F, const Cfg &G, const Liveness &Live) {
         return true;
       }
       // rS must die at the copy.
-      {
-        std::vector<BitVector> LiveAt = Live.liveAtEachInstr(BB);
-        int RsIdx = Live.universe().indexOf(RS);
-        if (RsIdx >= 0 && LiveAt[I + 1].test(static_cast<size_t>(RsIdx)))
-          continue;
-      }
+      if (Live.isLiveAfter(BB, I, RS))
+        continue;
       // Scan backwards for rS's defining instruction.
       for (size_t J = I; J-- > 0;) {
         Instr &Def = BB->instrs()[J];
@@ -477,7 +470,9 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
       Changed = forwardStoreToLoadOnce(F, G, FA);
     if (!Changed)
       break;
-    FA.invalidateAll();
+    // Every rewrite above leaves the terminator suffixes alone, except
+    // duplication, which notes its CFG edit itself.
+    FA.invalidate(PreservedAnalyses::structure());
     Any = true;
     removeUnreachableBlocks(F);
   }

@@ -160,10 +160,9 @@ bool processLoop(Function &F, const Module &M, const Cfg &G, Loop &L,
 
     // Store back on every exit edge.
     if (HasStore) {
-      // L.Exits carries stale TermIdx values only if the loop blocks were
-      // edited above; member rewrites keep instruction positions, and the
-      // preheader insertion does not touch loop blocks, so the edges are
-      // still valid.
+      // L.Exits stay valid: the edits above rewrote loop members in place
+      // and inserted into the preheader, and an edge names its branch by
+      // position within the terminator suffix.
       for (const CfgEdge &E : L.Exits) {
         BasicBlock *On = splitEdge(F, E);
         Instr St;
@@ -202,9 +201,9 @@ bool vsc::speculativeLoadStoreMotion(Function &F, const Module &M,
               [](Loop *A, Loop *B) { return A->Depth > B->Depth; });
     for (Loop *L : Loops) {
       if (processLoop(F, M, G, *L, AA)) {
-        // Motion split edges and rewrote accesses; start the next round
-        // from scratch.
-        FA.invalidateAll();
+        // Motion rewrote accesses and inserted non-terminators; the edge
+        // splits and preheader it may have made bumped the CFG epoch.
+        FA.invalidate(PreservedAnalyses::structure());
         Changed = true;
         Any = true;
         break;

@@ -359,6 +359,8 @@ void vsc::optimize(Module &M, OptLevel L, const PipelineOptions &Opts) {
     FunctionAnalyses::Stats S = FAM.totalStats();
     Opts.Stats->AnalysisHits += S.Hits;
     Opts.Stats->AnalysisMisses += S.Misses;
+    for (unsigned K = 0; K != NumAnalysisKinds; ++K)
+      Opts.Stats->AnalysisMissesByKind[K] += S.MissesByKind[K];
     Opts.Stats->PdfLayoutKept = PdfKept;
     if (PipeLogPtr) {
       std::vector<LoopPipelineRecord> Loops = PipeLog.sorted();

@@ -28,6 +28,7 @@
 #include "machine/MachineModel.h"
 #include "oracle/ExecOracle.h"
 #include "pipelining/ExactPipeliner.h"
+#include "pm/Analysis.h"
 #include "sim/Simulator.h"
 
 #include <functional>
@@ -42,9 +43,12 @@ enum class OptLevel { None, Classical, Vliw };
 /// Aggregate counters the driver can export after a run (see
 /// bench_compile_time's cache-hit column).
 struct PipelineStats {
-  /// Analysis-cache hits/misses across every function (pm/Analysis.h).
+  /// Analysis-cache hits/misses across every function (pm/Analysis.h),
+  /// and the misses (analysis builds) by AnalysisKind, which sum to
+  /// AnalysisMisses.
   uint64_t AnalysisHits = 0;
   uint64_t AnalysisMisses = 0;
+  uint64_t AnalysisMissesByKind[NumAnalysisKinds] = {};
   /// Measured PDF-layout gate decision: -1 the gate did not run (no
   /// profile, or no training battery to measure), 0 the layout was rolled
   /// back, 1 it was kept. Cross-process experiments compare this

@@ -417,25 +417,30 @@ std::string vsc::formatAsVliw(const BasicBlock &BB, const MachineModel &MM) {
 
 namespace {
 
-/// Attempts one hoist into \p P from one of its successors. \returns true
-/// if an instruction moved (analyses must be rebuilt).
-bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
-               BasicBlock *P, const Cfg &G, const Liveness &Live,
-               const LoopInfo &LI, const GlobalScheduleOptions &Opts,
-               const AliasAnalysis *AA) {
-  const std::vector<CfgEdge> &Succs = G.succs(P);
-  if (Succs.empty())
-    return false;
+/// A successor a probe of P may hoist from, with its predecessors: the
+/// blocks that receive the moved instruction or a bookkeeping copy.
+struct HoistSource {
+  BasicBlock *S;
+  std::vector<BasicBlock *> Preds;
+};
+
+/// The sources a probe of \p P examines, in probe order. They depend on
+/// the graph, the loops, the profile and P's terminator suffix only, none
+/// of which a hoist changes, so the sweep computes them once per block.
+std::vector<HoistSource> hoistSources(const Function &F, BasicBlock *P,
+                                      const Cfg &G, const LoopInfo &LI,
+                                      const GlobalScheduleOptions &Opts) {
+  std::vector<HoistSource> Sources;
   size_t PTerm = P->firstTerminatorIdx();
   bool PEndsConditional =
       PTerm < P->size() && P->instrs()[PTerm].isCondBranch();
   if (PEndsConditional && !Opts.SpeculativeHoist)
-    return false;
+    return Sources;
 
   // With a profile, try a clearly-hot successor first. Bucketised so that
   // near-balanced probabilities (profile noise) do not perturb the
   // deterministic hoist order.
-  std::vector<CfgEdge> OrderedSuccs = Succs;
+  std::vector<CfgEdge> OrderedSuccs = G.succs(P);
   if (Opts.Profile) {
     auto Bucket = [&](const CfgEdge &E) {
       double P2 = Opts.Profile->edgeProbability(F, E);
@@ -447,14 +452,6 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
                      });
   }
 
-  std::vector<Reg> Defs, Uses, Tmp;
-  DefUseTable SDefUse;
-  std::vector<bool> DefBefore, UseBefore;
-  std::vector<int32_t> LastDef;
-  std::vector<uint32_t> MemBefore;
-  BasicBlock Probe("probe"), Trial("probe");
-  unsigned CostBefore = 0;
-  bool Probed = false;
   for (const CfgEdge &E : OrderedSuccs) {
     BasicBlock *S = E.To;
     // Only clearly-unlikely paths are treated as speculative-and-unwanted
@@ -464,7 +461,9 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
     if (Opts.Profile && PEndsConditional &&
         Opts.Profile->edgeProbability(F, E) < 0.2)
       continue;
-    if (S == P)
+    // A second edge to the same successor would probe it again, unchanged.
+    if (S == P || std::any_of(Sources.begin(), Sources.end(),
+                              [S](const HoistSource &H) { return H.S == S; }))
       continue;
     // Joins are legal hoist sources when the paper's bookkeeping copies go
     // into every other predecessor ("making bookkeeping copies for edges
@@ -486,7 +485,39 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
         PredsOk = false;
     if (!PredsOk || LI.loopFor(S) != LI.loopFor(P))
       continue;
+    Sources.push_back({S, std::move(AllPreds)});
+  }
+  return Sources;
+}
 
+/// A legal, profitable hoist: instruction \p J of \p Src->S.
+struct Hoist {
+  const HoistSource *Src = nullptr;
+  size_t J = 0;
+};
+
+/// Probes \p P: the first instruction of one of its \p Sources that may
+/// move into every predecessor of its block and fits an idle slot of P.
+/// Reads P, the sources' blocks, the terminator suffixes of the sources'
+/// predecessors, the live-in sets of those predecessors' other successors
+/// and the alias facts \p GetAA returns (fetched only if a query follows);
+/// changes nothing.
+template <typename AliasFn>
+Hoist findHoist(const Module &M, const MachineModel &MM, BasicBlock *P,
+                const std::vector<HoistSource> &Sources, const Cfg &G,
+                const Liveness &Live, const GlobalScheduleOptions &Opts,
+                AliasFn &&GetAA) {
+  std::vector<Reg> Defs, Uses, Tmp;
+  DefUseTable SDefUse;
+  std::vector<bool> DefBefore, UseBefore;
+  std::vector<int32_t> LastDef;
+  std::vector<uint32_t> MemBefore;
+  BasicBlock Probe("probe"), Trial("probe");
+  unsigned CostBefore = 0;
+  bool Probed = false;
+  size_t PTerm = P->firstTerminatorIdx();
+  for (const HoistSource &Src : Sources) {
+    BasicBlock *S = Src.S;
     // Per-predecessor legality of placing \p Cand at Q's end.
     auto LegalInPred = [&](BasicBlock *Q, const Instr &Cand) {
       size_t QTerm = Q->firstTerminatorIdx();
@@ -495,10 +526,12 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       if (QConditional) {
         if (!Opts.SpeculativeHoist)
           return false;
-        bool Safe = Cand.isSafeToSpeculate() ||
-                    (Cand.isLoad() &&
-                     (AA ? AA->safeSpeculativeLoad(Cand, &M)
-                         : isSafeSpeculativeLoad(Cand, &M)));
+        bool Safe = Cand.isSafeToSpeculate();
+        if (!Safe && Cand.isLoad()) {
+          const AliasAnalysis *AA = GetAA();
+          Safe = AA ? AA->safeSpeculativeLoad(Cand, &M)
+                    : isSafeSpeculativeLoad(Cand, &M);
+        }
         if (!Safe)
           return false;
         // Destinations must be dead on Q's other successors.
@@ -521,7 +554,7 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       Cand.collectDefs(Defs);
       Uses.clear();
       Cand.collectUses(Uses);
-      for (size_t K = Q->firstTerminatorIdx(); K != Q->size(); ++K) {
+      for (size_t K = QTerm; K != Q->size(); ++K) {
         const Instr &T = Q->instrs()[K];
         Tmp.clear();
         T.collectUses(Tmp);
@@ -559,7 +592,7 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       if (!Blocked && touchesMemory(Cand))
         for (uint32_t K : MemBefore)
           if (memoryOrdered(S->instrs()[K], Cand,
-                            scopeBefore(SDefUse, K, J, LastDef), AA)) {
+                            scopeBefore(SDefUse, K, J, LastDef), GetAA())) {
             Blocked = true;
             break;
           }
@@ -574,7 +607,7 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       if (Blocked)
         continue;
       bool AllLegal = true;
-      for (BasicBlock *Q : AllPreds)
+      for (BasicBlock *Q : Src.Preds)
         if (!LegalInPred(Q, Cand))
           AllLegal = false;
       if (!AllLegal)
@@ -586,34 +619,69 @@ bool hoistOnce(Function &F, const Module &M, const MachineModel &MM,
       // schedule and cost do not depend on the candidate.
       if (!Probed) {
         Probe.instrs() = P->instrs();
-        scheduleBlock(Probe, MM, AA);
+        scheduleBlock(Probe, MM, GetAA());
         CostBefore = estimateBlockCycles(Probe, MM);
         Probed = true;
       }
       Trial.instrs() = Probe.instrs();
       Trial.instrs().insert(Trial.instrs().begin() + static_cast<long>(PTerm),
                             Cand);
-      scheduleBlock(Trial, MM, AA);
+      scheduleBlock(Trial, MM, GetAA());
       if (estimateBlockCycles(Trial, MM) > CostBefore)
         continue;
-
-      // Move: the op goes into every predecessor (one real motion plus
-      // bookkeeping copies), then leaves S.
-      Instr Moved = Cand;
-      S->instrs().erase(S->instrs().begin() + static_cast<long>(J));
-      for (BasicBlock *Q : AllPreds) {
-        Instr Copy = Moved;
-        if (Q != AllPreds.front())
-          F.assignId(Copy);
-        Q->instrs().insert(Q->instrs().begin() +
-                               static_cast<long>(Q->firstTerminatorIdx()),
-                           std::move(Copy));
-        scheduleBlock(*Q, MM, AA);
-      }
-      return true;
+      return Hoist{&Src, J};
     }
   }
-  return false;
+  return Hoist{};
+}
+
+/// Performs \p H: the instruction goes into every predecessor of its block
+/// (one real motion plus bookkeeping copies), then leaves the block. Each
+/// receiving block is list-scheduled again with \p AA, the facts of the
+/// code before the move.
+void applyHoist(Function &F, const MachineModel &MM, const Hoist &H,
+                const AliasAnalysis *AA) {
+  BasicBlock *S = H.Src->S;
+  Instr Moved = S->instrs()[H.J];
+  S->instrs().erase(S->instrs().begin() + static_cast<long>(H.J));
+  for (BasicBlock *Q : H.Src->Preds) {
+    Instr Copy = Moved;
+    if (Q != H.Src->Preds.front())
+      F.assignId(Copy);
+    Q->instrs().insert(Q->instrs().begin() +
+                           static_cast<long>(Q->firstTerminatorIdx()),
+                       std::move(Copy));
+    scheduleBlock(*Q, MM, AA);
+  }
+}
+
+/// What a failed probe of a block read from the alias facts: the
+/// label-free locations of the memory accesses in the block and its
+/// sources. Empty (and Used false) when the probe asked nothing.
+struct AliasRecord {
+  bool Used = false;
+  std::vector<AliasAnalysis::LabelFreeLoc> Locs;
+  std::vector<std::string> Syms;
+
+  bool operator==(const AliasRecord &O) const = default;
+};
+
+void recordAlias(const AliasAnalysis &AA, const BasicBlock *P,
+                 const std::vector<HoistSource> &Sources,
+                 std::vector<uint32_t> &Ids, AliasRecord &R) {
+  Ids.clear();
+  auto Collect = [&Ids](const BasicBlock *BB) {
+    for (const Instr &I : BB->instrs())
+      if (I.isMemAccess())
+        Ids.push_back(I.Id);
+  };
+  Collect(P);
+  for (const HoistSource &Src : Sources)
+    Collect(Src.S);
+  R.Used = true;
+  R.Locs.clear();
+  R.Syms.clear();
+  AA.labelFreeLocations(Ids, R.Locs, R.Syms);
 }
 
 } // namespace
@@ -633,34 +701,116 @@ bool vsc::globalSchedule(Function &F, const MachineModel &MM,
       Any |= scheduleBlock(*BB, MM, AA);
   }
 
-  std::unordered_map<const BasicBlock *, unsigned> HoistedInto;
-  for (unsigned Guard = 0; Guard < 256; ++Guard) {
-    // Analyses come from the cache: on rounds where no hoist landed (and
-    // after the final round) nothing is rebuilt. This also fixes the old
-    // duplicate Dominators construction here vs pipelineInnermostLoops —
-    // both now share one cached tree until a real CFG edit.
-    const Cfg &G = FA.cfg();
-    const LoopInfo &LI = FA.loops();
-    const Liveness &Live = FA.liveness();
-    const AliasAnalysis *AA =
-        Opts.FlowAlias ? &FA.aliasAnalysis() : nullptr;
-    bool Changed = false;
+  // One sweep (DESIGN.md §12). A hoist keeps the graph, the loops and
+  // (updated in place) liveness, so they are fetched once, and with them
+  // each block's hoist sources and the inverse: which probes read a
+  // block's instructions, or its live-in set.
+  const Cfg &G = FA.cfg();
+  const LoopInfo &LI = FA.loops();
+  const Liveness &Live = FA.liveness();
+  struct BlockState {
+    std::vector<HoistSource> Sources;
+    std::vector<BasicBlock *> ReadBy, LiveInReadBy;
+    unsigned Hoisted = 0;
+    /// The last probe failed, and nothing it read has changed since,
+    /// alias facts checked up to hoist number CheckedAt.
+    bool Fails = false;
+    unsigned CheckedAt = 0;
+    AliasRecord Alias;
+  };
+  std::unordered_map<const BasicBlock *, BlockState> State;
+  for (auto &BBPtr : F.blocks()) {
+    BasicBlock *P = BBPtr.get();
+    if (!G.isReachable(P))
+      continue;
+    BlockState &PS = State[P];
+    PS.Sources = hoistSources(F, P, G, LI, Opts);
+    PS.ReadBy.push_back(P);
+    for (const HoistSource &Src : PS.Sources) {
+      State[Src.S].ReadBy.push_back(P);
+      for (BasicBlock *Q : Src.Preds) {
+        size_t QTerm = Q->firstTerminatorIdx();
+        if (QTerm == Q->size() || !Q->instrs()[QTerm].isCondBranch())
+          continue;
+        for (const CfgEdge &Other : G.succs(Q))
+          if (Other.To != Src.S)
+            State[Other.To].LiveInReadBy.push_back(P);
+      }
+    }
+  }
+
+  // Alias facts are rebuilt after a hoist only when a query follows.
+  const AliasAnalysis *AA = nullptr;
+  bool AAFetched = false;
+  auto GetAA = [&]() {
+    AAFetched = true;
+    if (Opts.FlowAlias && !AA)
+      AA = &FA.aliasAnalysis();
+    return AA;
+  };
+  AliasRecord Now;
+  std::vector<uint32_t> Ids;
+
+  for (unsigned Hoists = 0; Hoists < 256;) {
+    bool Moved = false;
     for (auto &BBPtr : F.blocks()) {
       BasicBlock *P = BBPtr.get();
       if (!G.isReachable(P))
         continue;
-      if (HoistedInto[P] >= Opts.MaxHoistPerBlock)
+      BlockState &PS = State[P];
+      if (PS.Hoisted >= Opts.MaxHoistPerBlock)
         continue;
-      if (hoistOnce(F, M, MM, P, G, Live, LI, Opts, AA)) {
-        // The hoist erased and inserted instructions across blocks.
-        FA.invalidateAll();
-        ++HoistedInto[P];
-        Changed = true;
-        Any = true;
-        break;
+      // A known failure stands while the alias facts its probe read give
+      // the same answers.
+      if (PS.Fails && PS.CheckedAt != Hoists && PS.Alias.Used) {
+        recordAlias(*GetAA(), P, PS.Sources, Ids, Now);
+        PS.Fails = Now == PS.Alias;
       }
+      if (PS.Fails) {
+        PS.CheckedAt = Hoists;
+        if (FA.checking() &&
+            findHoist(M, MM, P, PS.Sources, G, Live, Opts, GetAA).Src)
+          FA.reportCheckFailure("global scheduling skipped a probe of " +
+                                P->label() + " in @" + F.name() +
+                                " that hoists");
+        continue;
+      }
+      AAFetched = false;
+      Hoist H = findHoist(M, MM, P, PS.Sources, G, Live, Opts, GetAA);
+      if (!H.Src) {
+        PS.Fails = true;
+        PS.CheckedAt = Hoists;
+        PS.Alias = AliasRecord();
+        if (AAFetched && AA)
+          recordAlias(*AA, P, PS.Sources, Ids, PS.Alias);
+        continue;
+      }
+      applyHoist(F, MM, H, GetAA());
+      ++PS.Hoisted;
+      ++Hoists;
+      Moved = Any = true;
+      // Every block the move edited, and every probe that reads one of
+      // them or (when it moved) the source's live-in set, must run again.
+      BasicBlock *S = H.Src->S;
+      bool LiveInMoved = FA.noteHoist(S);
+      AA = nullptr;
+      auto Reprobe = [&](const std::vector<BasicBlock *> &Readers) {
+        for (BasicBlock *R : Readers)
+          State[R].Fails = false;
+      };
+      Reprobe(State[S].ReadBy);
+      for (BasicBlock *Q : H.Src->Preds)
+        Reprobe(State[Q].ReadBy);
+      if (LiveInMoved)
+        Reprobe(State[S].LiveInReadBy);
+      if (FA.checking()) {
+        std::string Err = FA.verifyCache();
+        if (!Err.empty())
+          FA.reportCheckFailure("global scheduling: " + Err);
+      }
+      break;
     }
-    if (!Changed)
+    if (!Moved)
       break;
   }
   return Any;

@@ -108,7 +108,7 @@ bool unspeculateOnce(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
     const std::vector<CfgEdge> &Succs = G.succs(BB);
     const CfgEdge *TakenEdge = nullptr, *OtherEdge = nullptr;
     for (const CfgEdge &E : Succs) {
-      if (E.IsTaken && E.TermIdx == static_cast<int>(FirstTerm))
+      if (E.IsTaken && E.TermPos == 0)
         TakenEdge = &E;
       else
         OtherEdge = &E;
@@ -146,8 +146,6 @@ bool unspeculateOnce(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
       if (!Dest)
         continue;
 
-      // Split the edge BEFORE erasing: erasing first would invalidate the
-      // edge's TermIdx (it indexes the branch within this block).
       Instr Moved = Cand;
       BasicBlock *S = splitEdge(F, *Dest);
       BB->instrs().erase(BB->instrs().begin() + static_cast<long>(I));

@@ -233,6 +233,47 @@ entry:
             AliasResult::MustAlias);
 }
 
+/// Label-free locations rank value numbers and symbols by first
+/// appearance: a function whose labels shifted (one more def site minted
+/// before the accesses) lists the same locations, while one whose two
+/// accesses no longer share a base, or reach another global, does not.
+TEST(ValueTrack, LabelFreeLocationsIgnoreRelabelingOnly) {
+  auto Locations = [](const char *Body) {
+    auto M = parseOrDie(std::string("global a : 64\nglobal b : 64\n"
+                                    "func main(1) {\nentry:\n") +
+                        Body +
+                        "  LI r3 = 0\n  RET\n}\n");
+    Function &F = *M->findFunction("main");
+    AliasAnalysis AA(F);
+    std::vector<uint32_t> Ids;
+    for (const auto &BB : F.blocks())
+      for (const Instr &I : BB->instrs())
+        if (I.isMemAccess())
+          Ids.push_back(I.Id);
+    std::vector<AliasAnalysis::LabelFreeLoc> Locs;
+    std::vector<std::string> Syms;
+    AA.labelFreeLocations(Ids, Locs, Syms);
+    return std::make_pair(Locs, Syms);
+  };
+  auto Base = Locations("  AI r33 = r3, 0\n  L r40 = 0(r33)\n"
+                        "  ST 8(r33) = r40\n  LTOC r34 = .a\n"
+                        "  L r41 = 0(r34)\n");
+  // r5 is read first here, so r3's entry value gets the next label.
+  auto Shifted = Locations("  AI r50 = r5, 1\n  AI r33 = r3, 0\n"
+                           "  L r40 = 0(r33)\n  ST 8(r33) = r40\n"
+                           "  LTOC r34 = .a\n  L r41 = 0(r34)\n");
+  auto Split = Locations("  AI r33 = r3, 0\n  LR r35 = r4\n"
+                         "  L r40 = 0(r33)\n  ST 8(r35) = r40\n"
+                         "  LTOC r34 = .a\n  L r41 = 0(r34)\n");
+  auto OtherGlobal = Locations("  AI r33 = r3, 0\n  L r40 = 0(r33)\n"
+                               "  ST 8(r33) = r40\n  LTOC r34 = .b\n"
+                               "  L r41 = 0(r34)\n");
+  ASSERT_EQ(Base.first.size(), 3u);
+  EXPECT_TRUE(Base == Shifted);
+  EXPECT_FALSE(Base == Split);
+  EXPECT_FALSE(Base == OtherGlobal);
+}
+
 TEST(ValueTrack, PointsToAtBlockEntry) {
   auto M = parseOrDie(R"(
 func main(0) {

@@ -4,6 +4,7 @@
 #include "cfg/CfgEdit.h"
 #include "cfg/Dominators.h"
 #include "cfg/Loops.h"
+#include "pm/PassManager.h"
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,83 @@ TEST(Loops, DetectsLoopShape) {
   ASSERT_EQ(L.Exits.size(), 1u);
   EXPECT_EQ(L.Exits[0].To, F.findBlock("exit"));
   EXPECT_TRUE(L.isInnermost());
+}
+
+namespace {
+
+/// Inserts a non-terminator just before every conditional branch, erases
+/// the first instruction of the block after it, and inserts one at the
+/// top of the loop exit: edits that leave every terminator suffix alone.
+void editNonTerminators(Function &F) {
+  for (auto &BB : F.blocks()) {
+    size_t Term = BB->firstTerminatorIdx();
+    if (Term == BB->size() || !BB->instrs()[Term].isCondBranch())
+      continue;
+    Instr I;
+    I.Op = Opcode::LI;
+    I.Dst = Reg::gpr(60);
+    I.Imm = 1;
+    F.assignId(I);
+    BB->instrs().insert(BB->instrs().begin() + static_cast<long>(Term), I);
+  }
+  BasicBlock *Right = F.findBlock("right");
+  Right->instrs().erase(Right->instrs().begin());
+  Instr J;
+  J.Op = Opcode::LI;
+  J.Dst = Reg::gpr(61);
+  J.Imm = 2;
+  F.assignId(J);
+  BasicBlock *Exit = F.findBlock("exit");
+  Exit->instrs().insert(Exit->instrs().begin(), J);
+}
+
+class NonTerminatorEditPass : public FunctionPass {
+public:
+  const char *name() const override { return "non-terminator-edit"; }
+  PreservedAnalyses run(Function &F, Module &, FunctionAnalyses &) override {
+    editNonTerminators(F);
+    return PreservedAnalyses::structure();
+  }
+};
+
+} // namespace
+
+/// An edge names its branch by position within the terminator suffix, so
+/// inserting and erasing non-terminators (even just before a conditional
+/// branch) keeps every edge, dominator and loop: the cached views equal
+/// fresh builds, and a checking pass manager accepts a pass that makes
+/// such edits and claims structure().
+TEST(Cfg, NonTerminatorEditsKeepEdgesDominatorsAndLoops) {
+  auto M = parseOrDie(LoopDiamond);
+  Function &F = *M->findFunction("main");
+  FunctionAnalyses FA(F);
+  const Cfg &G = FA.cfg();
+  (void)FA.dominators();
+  (void)FA.postDominators();
+  const LoopInfo &LI = FA.loops();
+  editNonTerminators(F);
+  EXPECT_EQ(FA.verifyCache(), "");
+  Cfg Fresh(F);
+  EXPECT_TRUE(G.edges() == Fresh.edges());
+  for (const CfgEdge &E : G.edges())
+    if (E.IsTaken)
+      EXPECT_EQ(E.branch().Target, E.To->label());
+  ASSERT_EQ(LI.loops().size(), 1u);
+  ASSERT_EQ(LI.loops()[0]->Exits.size(), 1u);
+  const CfgEdge &Exit = LI.loops()[0]->Exits[0];
+  EXPECT_TRUE(Exit.IsTaken == false || Exit.branch().Target == "exit");
+
+  auto M2 = parseOrDie(LoopDiamond);
+  Function &F2 = *M2->findFunction("main");
+  FunctionPassManager FPM;
+  FPM.setCheckAnalyses(true);
+  FPM.add(std::make_unique<NonTerminatorEditPass>());
+  FunctionAnalyses FA2(F2);
+  (void)FA2.loops();
+  (void)FA2.postDominators();
+  EXPECT_EQ(FPM.run(F2, *M2, FA2), "");
+  EXPECT_TRUE(FA2.hasCached(AnalysisKind::Loops));
+  EXPECT_TRUE(FA2.hasCached(AnalysisKind::PostDominators));
 }
 
 TEST(Loops, NestingDepths) {

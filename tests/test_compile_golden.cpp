@@ -12,11 +12,12 @@
 ///    baseline and guided cycle sums. Its Threads defers to VSC_THREADS,
 ///    so running the suite at two thread counts checks the serial and the
 ///    parallel paths;
-///  * generated loops with large bodies (a 160-statement straight block, a
-///    40-statement branchy region) x {Classical, Vliw} x the three
-///    machines: the block sizes at which the scheduler's dependence DAG
-///    and hoisting do most of their work, far past the kernels' 130-420
-///    instructions per function.
+///  * generated loops with large bodies (a 160-statement straight block,
+///    40- and 80-statement branchy regions) x {Classical, Vliw} x the
+///    three machines: the block sizes at which the scheduler's dependence
+///    DAG and hoisting do most of their work, far past the kernels'
+///    130-420 instructions per function. The 80-statement region makes
+///    tens of global-scheduling hoists per machine.
 ///
 /// Emitted bytes only show the alias facts some pass acted on. So the
 /// kernel matrix and the large-block programs also freeze a digest of
@@ -131,6 +132,9 @@ const MatrixRow GoldenLargeBlocks[] = {
     {"branchy.40",
      {0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad, 0x64fb957e7fdb57ad},
      {0x8f5a7bf0736791e2, 0x12a95ddf39acf700, 0xa67eacff3210c254}},
+    {"branchy.80",
+     {0x8b92409e0da98fb5, 0x8b92409e0da98fb5, 0x8b92409e0da98fb5},
+     {0xd555a5f8e5419faa, 0x83a2d0edf3b93d90, 0xed5ae43060e25015}},
 };
 
 const AliasRow GoldenKernelAliasFacts[] = {
@@ -189,98 +193,11 @@ const AliasRow GoldenLargeBlockAliasFacts[] = {
      0x88e4699ffa9c5d68,
      {0xa855ceaec59aff82, 0xa855ceaec59aff82, 0xa855ceaec59aff82},
      {0x730d36085b2370e7, 0x79ae927920aa23a5, 0x9a9c2a892dded5d1}},
+    {"branchy.80",
+     0x5b4ada9a55e791f9,
+     {0x162d207c8afdbcb2, 0x162d207c8afdbcb2, 0x162d207c8afdbcb2},
+     {0xce7074fa670c0ac5, 0xc9792eca0d5d1783, 0x33589989d738b65e}},
 };
-
-/// splitmix64, so a seed gives the same program on every platform.
-class Rng {
-public:
-  explicit Rng(uint64_t Seed) : State(Seed) {}
-  unsigned below(unsigned N) {
-    uint64_t Z = (State += 0x9e3779b97f4a7c15ULL);
-    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<unsigned>((Z ^ (Z >> 31)) % N);
-  }
-
-private:
-  uint64_t State;
-};
-
-/// One counted loop over global arrays whose body is \p Statements masked
-/// load/compute/store statements (about one in four wrapped in an if/else
-/// when \p Branchy). Every value is masked and every index is in range, so
-/// the program is well defined whatever the seed.
-std::string largeLoopProgram(unsigned Statements, bool Branchy,
-                             uint64_t Seed) {
-  Rng R(Seed);
-  auto Num = [&](unsigned N) { return std::to_string(R.below(N)); };
-  auto Element = [&] {
-    static const char *const Arrays[] = {"ga", "gb", "gc"};
-    static const char *const Strides[] = {"t", "t * 3", "t * 5", "t + t"};
-    std::string A = Arrays[R.below(3)];
-    std::string S = Strides[R.below(4)];
-    return A + "[(" + S + " + " + Num(32) + ") & 31]";
-  };
-  auto Op = [&] {
-    static const char *const Ops[] = {"+", "-", "^", "|", "&"};
-    return std::string(Ops[R.below(5)]);
-  };
-  auto Scalar = [&] { return "x" + Num(4); };
-  auto Statement = [&]() -> std::string {
-    switch (R.below(4)) {
-    case 0: {
-      std::string Dst = Element(), A = Element(), O = Op();
-      return Dst + " = (" + A + " " + O + " " + Element() + ") & 0xffff;";
-    }
-    case 1: {
-      std::string X = Scalar(), O = Op();
-      return X + " = (" + X + " " + O + " " + Element() + ") & 0xffff;";
-    }
-    case 2: {
-      std::string Dst = Num(8), Src = Num(8), O = Op();
-      return "gs[" + Dst + "] = (gs[" + Src + "] " + O + " " + Scalar() +
-             ") & 0xffff;";
-    }
-    default: {
-      std::string X = Scalar(), K = std::to_string(1 + R.below(7));
-      return X + " = (" + X + " * " + K + " + " + Num(1000) + ") & 0xffff;";
-    }
-    }
-  };
-  std::string Body;
-  for (unsigned I = 0; I != Statements; ++I) {
-    if (Branchy && R.below(4) == 0) {
-      // One draw per statement: operands of + are unsequenced.
-      std::string E = Element(), Mask = std::to_string(1 + R.below(255));
-      std::string Cond = "(" + E + " & " + Mask + ") > " + Num(128);
-      std::string Then = Statement();
-      Body += "    if (" + Cond + ") {\n      " + Then + "\n    } else {\n      " +
-              Statement() + "\n    }\n";
-      continue;
-    }
-    Body += "    " + Statement() + "\n";
-  }
-  return "int ga[32];\nint gb[32];\nint gc[32];\nint gs[8];\n"
-         "int main(int n) {\n"
-         "  int x0 = 1;\n  int x1 = 3;\n  int x2 = 5;\n  int x3 = 7;\n"
-         "  for (int i = 0; i < 32; i++) {\n"
-         "    ga[i] = (i * 7 + 3) & 255;\n"
-         "    gb[i] = (i * 13 + 5) & 255;\n"
-         "    gc[i] = (i * 29 + 11) & 255;\n"
-         "    gs[i & 7] = i;\n"
-         "  }\n"
-         "  for (int t = 0; t < n; t++) {\n" +
-         Body +
-         "  }\n"
-         "  int h = 0;\n"
-         "  for (int i = 0; i < 32; i++)\n"
-         "    h = (h * 31 + ga[i] + gb[i] * 3 + gc[i] * 5 + gs[i & 7]) & "
-         "0xffffff;\n"
-         "  print_int(h);\n"
-         "  print_int((x0 + x1 * 3 + x2 * 5 + x3 * 7) & 0xffffff);\n"
-         "  return 0;\n"
-         "}\n";
-}
 
 uint64_t digest(const Module &M) {
   std::string Text = printModule(M);
@@ -430,7 +347,8 @@ TEST(CompileGolden, LargeBlockDigests) {
     uint64_t Seed;
   };
   const Program Programs[] = {{"straight.160", 160, false, 7},
-                              {"branchy.40", 40, true, 11}};
+                              {"branchy.40", 40, true, 11},
+                              {"branchy.80", 80, true, 13}};
   std::string Actual, ActualFacts;
   for (const Program &P : Programs) {
     FrontendOptions FO;

@@ -294,6 +294,35 @@ TEST(AnalysisChecker, CatchesBaseRegisterRewriter) {
   EXPECT_NE(Err.find("stale AliasAnalysis"), std::string::npos) << Err;
 }
 
+class SelfCheckFailingPass : public FunctionPass {
+public:
+  const char *name() const override { return "self-check"; }
+  PreservedAnalyses run(Function &, Module &, FunctionAnalyses &FA) override {
+    if (FA.checking())
+      FA.reportCheckFailure("kept state disagrees");
+    return PreservedAnalyses::all();
+  }
+};
+
+TEST(AnalysisChecker, ReportsAPassSelfCheckFailure) {
+  // A pass that keeps analyses across its own edits checks them as it
+  // goes when checking is on, and reports through the cache checker.
+  auto M = parseOrDie(StraightIR);
+  Function &F = *M->findFunction("main");
+  FunctionPassManager FPM;
+  FPM.add(std::make_unique<SelfCheckFailingPass>());
+  FPM.setCheckAnalyses(false);
+  {
+    FunctionAnalyses FA(F);
+    EXPECT_EQ(FPM.run(F, *M, FA), "");
+  }
+  FPM.setCheckAnalyses(true);
+  FunctionAnalyses FA(F);
+  std::string Err = FPM.run(F, *M, FA);
+  EXPECT_NE(Err.find("self-check"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("kept state disagrees"), std::string::npos) << Err;
+}
+
 TEST(AnalysisChecker, HonestMutatorIsClean) {
   auto M = parseOrDie(StraightIR);
   Function &F = *M->findFunction("main");
@@ -395,6 +424,14 @@ TEST(PassManager, StatsReportCacheHits) {
   // liveness queries inside one stage hit instead of recomputing.
   EXPECT_GT(Stats.AnalysisHits, 0u);
   EXPECT_GT(Stats.AnalysisMisses, 0u);
+  // The builds by kind add up to the total.
+  uint64_t Sum = 0;
+  for (uint64_t N : Stats.AnalysisMissesByKind)
+    Sum += N;
+  EXPECT_EQ(Sum, Stats.AnalysisMisses);
+  EXPECT_GT(Stats.AnalysisMissesByKind[static_cast<unsigned>(
+                AnalysisKind::Cfg)],
+            0u);
 }
 
 TEST(PassManager, BehaviourUnchangedUnderChecking) {

@@ -9,11 +9,17 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "audit/PassAudit.h"
 #include "cfg/CfgEdit.h"
+#include "frontend/Frontend.h"
+#include "pm/PassManager.h"
+#include "pm/Passes.h"
 #include "vliw/Rename.h"
 #include "vliw/Schedule.h"
 #include "vliw/Unroll.h"
 #include "workloads/LiKernel.h"
+#include "workloads/Registry.h"
+#include "workloads/Spec.h"
 
 #include <gtest/gtest.h>
 
@@ -552,6 +558,62 @@ other:
 //===----------------------------------------------------------------------===//
 // Enhanced pipeline scheduling
 //===----------------------------------------------------------------------===//
+
+/// Global scheduling sweeps once: a hoist keeps the graph, the loops and
+/// (updated in place) liveness, and a block whose probe failed is probed
+/// again only when a hoist changed what that probe reads. With checking
+/// forced on, the pass verifies the cache after every hoist (so the kept
+/// liveness must equal a fresh Liveness) and re-runs every probe it
+/// skipped (so none may turn out able to hoist). Both stay silent on every
+/// kernel and on the 40-statement generated loops, on every machine, at
+/// the point of the Vliw pipeline where global scheduling runs.
+TEST(GlobalSchedule, SweepKeepsAnalysesAndSkipsOnlyFailingProbes) {
+  std::vector<std::pair<std::string, std::unique_ptr<Module>>> Sources;
+  for (const Workload &W : workloads::allKernels())
+    Sources.emplace_back(W.Name, buildWorkload(W));
+  for (bool Branchy : {false, true}) {
+    FrontendOptions FO;
+    FO.AssumeSafeLoads = true;
+    CompileResult C = compileMiniC(largeLoopProgram(40, Branchy, 11), FO);
+    ASSERT_TRUE(C.ok()) << C.Error;
+    Sources.emplace_back(Branchy ? "branchy.40" : "straight.40",
+                         std::move(C.M));
+  }
+  unsigned Moved = 0;
+  for (const char *Name : {"rs6000", "power2", "ppc601"}) {
+    MachineModel MM = *findMachine(Name);
+    FunctionPassManager Before;
+    Before.add(std::make_unique<ClassicalPass>());
+    Before.add(std::make_unique<LoadStoreMotionPass>());
+    Before.add(std::make_unique<UnspeculationPass>());
+    Before.add(std::make_unique<UnrollRenamePass>(2));
+    Before.add(std::make_unique<PipeliningPass>(MM));
+    FunctionPassManager Sweep;
+    Sweep.setCheckAnalyses(true);
+    Sweep.add(std::make_unique<GlobalSchedulePass>(MM, GlobalScheduleOptions()));
+    for (const auto &[Program, Source] : Sources) {
+      ASSERT_TRUE(Source) << Program;
+      auto M = cloneModule(*Source);
+      for (const auto &F : M->functions()) {
+        if (F->blocks().empty())
+          continue;
+        FunctionAnalyses FA(*F);
+        ASSERT_EQ(Before.run(*F, *M, FA), "") << Program;
+        size_t Blocks = F->blocks().size();
+        std::vector<size_t> Sizes;
+        for (const auto &BB : F->blocks())
+          Sizes.push_back(BB->size());
+        EXPECT_EQ(Sweep.run(*F, *M, FA), "")
+            << Program << " @" << F->name() << " on " << Name;
+        ASSERT_EQ(F->blocks().size(), Blocks);
+        for (size_t I = 0; I != Blocks; ++I)
+          Moved += F->blocks()[I]->size() != Sizes[I];
+      }
+    }
+  }
+  // Hoists change block sizes: the sweep had real work to check.
+  EXPECT_GT(Moved, 100u);
+}
 
 TEST(Eps, PipelinesDependentLoadChainLoop) {
   // A pointer-chase-free loop with a load feeding an add: rotation should

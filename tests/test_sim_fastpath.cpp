@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 using namespace vsc;
 
 namespace {
@@ -247,6 +249,29 @@ TEST(SimFastpath, EngineRunsAreReproducible) {
     RunResult Again = E.run(workloadInput(W.TrainScale));
     expectSame(First, Again, "engine rerun " + std::to_string(I));
   }
+}
+
+/// The fast path maps each run's memory image on its own rather than
+/// taking it from malloc, where a freed image could stay resident behind a
+/// later small allocation. Constructing an engine and running it (twice,
+/// so the image is reused) grows malloc's in-use bytes by far less than
+/// the image.
+TEST(SimFastpath, RunMemoryStaysOffTheMallocHeap) {
+  const Workload &W = specWorkloads()[2]; // eqntott
+  auto M = buildWorkload(W);
+  ASSERT_TRUE(M);
+  RunOptions Opts = workloadInput(W.TrainScale);
+  auto InUse = [] {
+    struct mallinfo2 I = mallinfo2();
+    return static_cast<int64_t>(I.uordblks + I.hblkhd);
+  };
+  int64_t Before = InUse();
+  SimEngine E(*M, rs6000());
+  RunResult First = E.run(Opts);
+  RunResult Again = E.run(Opts);
+  int64_t Growth = InUse() - Before;
+  expectSame(First, Again, "reused image");
+  EXPECT_LT(Growth, static_cast<int64_t>(Opts.MemBytes) / 2);
 }
 
 /// The unresolved-branch trap ("branch to unknown label") fires *after*
