@@ -53,7 +53,9 @@ never:
 static void BM_ExpansionPass(benchmark::State &State) {
   for (auto _ : State) {
     auto M = buildStallLoop(100);
-    expandBasicBlocks(*M->findFunction("main"), rs6000());
+    Function &F = *M->findFunction("main");
+    FunctionAnalyses FA(F);
+    expandBasicBlocks(F, rs6000(), FA);
     benchmark::DoNotOptimize(M->instrCount());
   }
 }
@@ -73,9 +75,9 @@ int main(int Argc, char **Argv) {
               Baseline->instrCount());
   for (unsigned Window : {2u, 8u, 24u}) {
     auto M = buildStallLoop(10000);
-    ExpansionOptions Opts;
-    Opts.Window = Window;
-    expandBasicBlocks(*M->findFunction("main"), rs6000(), Opts);
+    Function &F = *M->findFunction("main");
+    FunctionAnalyses FA(F);
+    expandBasicBlocks(F, rs6000(), FA, Window);
     RunResult R = simulate(*M, rs6000());
     checkSame(RB, R, "stall loop");
     std::printf("%8u %12llu %14llu %12llu %10zu\n", Window,

@@ -46,7 +46,9 @@ exit:
 static void BM_CombinePass(benchmark::State &State) {
   for (auto _ : State) {
     auto M = buildCopyLoop(100);
-    limitedCombine(*M->findFunction("main"));
+    Function &F = *M->findFunction("main");
+    FunctionAnalyses FA(F);
+    limitedCombine(F, FA);
     benchmark::DoNotOptimize(M->instrCount());
   }
 }
@@ -60,8 +62,9 @@ int main(int Argc, char **Argv) {
     auto Before = buildCopyLoop(Trips);
     auto After = buildCopyLoop(Trips);
     Function &F = *After->findFunction("main");
-    limitedCombine(F);
-    deadCodeElim(F);
+    FunctionAnalyses FA(F);
+    limitedCombine(F, FA);
+    deadCodeElim(F, FA);
     RunResult RB = simulate(*Before, rs6000());
     RunResult RA = simulate(*After, rs6000());
     checkSame(RB, RA, "copy loop");

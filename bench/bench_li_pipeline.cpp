@@ -38,26 +38,29 @@ void stageOriginal(Module &) {}
 
 void stageGlobalSched(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  globalSchedule(F, rs6000(), M);
+  FunctionAnalyses FA(F);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 
 void stageUnrollRename(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
-  globalSchedule(F, rs6000(), M);
+  renameInnermostLoops(F, FA);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 
 void stageEps(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
-  pipelineInnermostLoops(F, rs6000(), M);
-  globalSchedule(F, rs6000(), M);
+  renameInnermostLoops(F, FA);
+  pipelineInnermostLoops(F, rs6000(), M, FA);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 

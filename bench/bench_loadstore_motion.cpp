@@ -53,10 +53,12 @@ exit:
 
 void applyMotion(Module &M) {
   Function &F = *M.findFunction("main");
-  speculativeLoadStoreMotion(F, M);
-  limitedCombine(F);
-  copyPropagate(F);
-  deadCodeElim(F);
+  FunctionAnalyses FA(F);
+  speculativeLoadStoreMotion(F, M, FA);
+  limitedCombine(F, FA);
+  if (copyPropagate(F))
+    FA.invalidate(PreservedAnalyses::structure());
+  deadCodeElim(F, FA);
 }
 
 } // namespace

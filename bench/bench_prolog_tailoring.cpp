@@ -73,7 +73,9 @@ exit:
 static void BM_TailorPass(benchmark::State &State) {
   for (auto _ : State) {
     auto M = buildCaller(10, 50);
-    insertPrologEpilog(*M->findFunction("sub"), true);
+    Function &Sub = *M->findFunction("sub");
+    FunctionAnalyses FA(Sub);
+    insertPrologEpilog(Sub, FA, true);
     benchmark::DoNotOptimize(M->instrCount());
   }
 }
@@ -86,10 +88,13 @@ int main(int Argc, char **Argv) {
   for (unsigned Bias : {10u, 50u, 90u}) {
     auto Classic = buildCaller(2000, Bias);
     auto Tailored = buildCaller(2000, Bias);
-    for (auto &F : Classic->functions())
-      insertPrologEpilog(*F, false);
+    for (auto &F : Classic->functions()) {
+      FunctionAnalyses FA(*F);
+      insertPrologEpilog(*F, FA, false);
+    }
     for (auto &F : Tailored->functions()) {
-      insertPrologEpilog(*F, true);
+      FunctionAnalyses FA(*F);
+      insertPrologEpilog(*F, FA, true);
       std::string E = verifyUnwindInvariant(*F);
       if (!E.empty()) {
         std::fprintf(stderr, "unwind invariant: %s\n", E.c_str());

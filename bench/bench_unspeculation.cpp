@@ -49,7 +49,9 @@ exit:
 static void BM_UnspeculatePass(benchmark::State &State) {
   for (auto _ : State) {
     auto M = buildFlagKernel(1000, 4);
-    unspeculate(*M->findFunction("main"));
+    Function &F = *M->findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
     benchmark::DoNotOptimize(M->instrCount());
   }
 }
@@ -63,7 +65,9 @@ int main(int Argc, char **Argv) {
   for (unsigned Mod : {2u, 4u, 8u}) {
     auto Before = buildFlagKernel(4000, Mod);
     auto After = buildFlagKernel(4000, Mod);
-    unspeculate(*After->findFunction("main"));
+    Function &F = *After->findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
     RunResult RB = simulate(*Before, rs6000());
     RunResult RA = simulate(*After, rs6000());
     checkSame(RB, RA, "flag kernel");

@@ -44,27 +44,30 @@ int main() {
 
   show("global scheduling (paper: 14 cycles / 2 iters)", [](Module &M) {
     Function &F = *M.findFunction("xlygetvalue");
-    globalSchedule(F, rs6000(), M);
+    FunctionAnalyses FA(F);
+    globalSchedule(F, rs6000(), M, FA);
     straighten(F);
   });
 
   show("unroll + rename + global scheduling", [](Module &M) {
     Function &F = *M.findFunction("xlygetvalue");
-    unrollInnermostLoops(F, 2);
+    FunctionAnalyses FA(F);
+    unrollInnermostLoops(F, FA, 2);
     straighten(F);
-    renameInnermostLoops(F);
-    globalSchedule(F, rs6000(), M);
+    renameInnermostLoops(F, FA);
+    globalSchedule(F, rs6000(), M, FA);
     straighten(F);
   });
 
   show("+ enhanced pipeline scheduling (paper: 10 cycles / 2 iters)",
        [](Module &M) {
          Function &F = *M.findFunction("xlygetvalue");
-         unrollInnermostLoops(F, 2);
+         FunctionAnalyses FA(F);
+         unrollInnermostLoops(F, FA, 2);
          straighten(F);
-         renameInnermostLoops(F);
-         pipelineInnermostLoops(F, rs6000(), M);
-         globalSchedule(F, rs6000(), M);
+         renameInnermostLoops(F, FA);
+         pipelineInnermostLoops(F, rs6000(), M, FA);
+         globalSchedule(F, rs6000(), M, FA);
          straighten(F);
        });
 
@@ -73,11 +76,12 @@ int main() {
   {
     auto M = buildLiSearch(8);
     Function &F = *M->findFunction("xlygetvalue");
-    unrollInnermostLoops(F, 2);
+    FunctionAnalyses FA(F);
+    unrollInnermostLoops(F, FA, 2);
     straighten(F);
-    renameInnermostLoops(F);
-    pipelineInnermostLoops(F, rs6000(), *M);
-    globalSchedule(F, rs6000(), *M);
+    renameInnermostLoops(F, FA);
+    pipelineInnermostLoops(F, rs6000(), *M, FA);
+    globalSchedule(F, rs6000(), *M, FA);
     straighten(F);
     std::printf("=== the pipelined loop as VLIW words (rs6000 issue "
                 "rules) ===\n");

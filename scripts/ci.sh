@@ -15,7 +15,8 @@
 # cost-model-vs-simulator timing differential, and the alias-analysis/audit
 # suites explicitly.
 # The default configuration also runs the benchmark's self-test and checks
-# that bench_alias reproduces the committed BENCH_alias.json.
+# that bench_alias, bench_workloads and bench_pipelining reproduce the
+# committed BENCH_alias.json, BENCH_workloads.json and BENCH_pipelining.json.
 #
 #   scripts/ci.sh [JOBS]
 #
@@ -202,6 +203,17 @@ tmp="$(mktemp -d)"
 "$ROOT/build/bench/bench_alias" --alias-out="$tmp/alias.json" \
   --benchmark_filter='^$' > /dev/null
 cmp "$tmp/alias.json" "$ROOT/BENCH_alias.json"
+# The same exact gate for the kernel matrix (simulated cycles and PDF
+# layout decisions of 11 kernels x 3 machines x O0/Classical/Vliw/Vliw+PDF)
+# and for the pipelining records (one per chain-shaped innermost loop): a
+# change that moves a cycle count or an II commits the new file on purpose.
+echo "=== [default] BENCH_workloads.json and BENCH_pipelining.json reproduce ==="
+"$ROOT/build/bench/bench_workloads" --workloads-out="$tmp/workloads.json" \
+  --benchmark_filter='^$' > /dev/null
+cmp "$tmp/workloads.json" "$ROOT/BENCH_workloads.json"
+"$ROOT/build/bench/bench_pipelining" --pipelining-out="$tmp/pipelining.json" \
+  --benchmark_filter='^$' > /dev/null
+cmp "$tmp/pipelining.json" "$ROOT/BENCH_pipelining.json"
 rm -rf "$tmp"
 # The benchmark (perfbench/) builds its own program against ../src, so a
 # src/ API change can break it without failing any step above. Its

@@ -5,6 +5,7 @@
 #include "ir/Module.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 
@@ -229,23 +230,27 @@ private:
     return Opcode::LI;
   }
 
+  /// Parses the register number \p Digits: decimal digits only, and below
+  /// Reg::IdLimit.
+  static bool parseRegId(std::string_view Digits, uint32_t &Id) {
+    const char *End = Digits.data() + Digits.size();
+    auto [Ptr, Ec] = std::from_chars(Digits.data(), End, Id);
+    return Ec == std::errc() && Ptr == End && Id < Reg::IdLimit;
+  }
+
   static bool parseReg(LineCursor &C, Reg &Out) {
     std::string W = C.ident();
-    if (W == "ctr") {
+    std::string_view V = W;
+    uint32_t Id;
+    if (W == "ctr")
       Out = Reg::ctr();
-      return true;
-    }
-    if (W.size() >= 2 && W[0] == 'r' &&
-        std::isdigit(static_cast<unsigned char>(W[1]))) {
-      Out = Reg::gpr(static_cast<uint32_t>(std::atoi(W.c_str() + 1)));
-      return true;
-    }
-    if (W.size() >= 3 && W[0] == 'c' && W[1] == 'r' &&
-        std::isdigit(static_cast<unsigned char>(W[2]))) {
-      Out = Reg::cr(static_cast<uint32_t>(std::atoi(W.c_str() + 2)));
-      return true;
-    }
-    return false;
+    else if (V.substr(0, 2) == "cr" && parseRegId(V.substr(2), Id))
+      Out = Reg::cr(Id);
+    else if (V.substr(0, 1) == "r" && parseRegId(V.substr(1), Id))
+      Out = Reg::gpr(Id);
+    else
+      return false;
+    return true;
   }
 
   static bool parseCrBit(const std::string &W, CrBit &Out) {
@@ -351,10 +356,11 @@ private:
       size_t Dot = CrAndBit.find('.');
       if (Dot == std::string::npos)
         return "expected 'crN.bit'";
-      std::string CrName = CrAndBit.substr(0, Dot);
-      if (CrName.size() < 3 || CrName[0] != 'c' || CrName[1] != 'r')
+      std::string_view CrName = std::string_view(CrAndBit).substr(0, Dot);
+      uint32_t CrId;
+      if (CrName.substr(0, 2) != "cr" || !parseRegId(CrName.substr(2), CrId))
         return "expected condition register";
-      I.Src1 = Reg::cr(static_cast<uint32_t>(std::atoi(CrName.c_str() + 2)));
+      I.Src1 = Reg::cr(CrId);
       if (!parseCrBit(CrAndBit.substr(Dot + 1), I.Bit))
         return "bad condition bit '" + CrAndBit.substr(Dot + 1) + "'";
       return "";

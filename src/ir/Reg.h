@@ -31,6 +31,10 @@ class Reg {
 public:
   static constexpr uint32_t FirstVirtualGpr = 32;
   static constexpr uint32_t FirstVirtualCr = 8;
+  /// Every register id is below this bound: the simulators pack a register
+  /// into 32 bits, 2 for the class and 30 for the id (sim/Predecode.h), and
+  /// the IR parser rejects larger numbers.
+  static constexpr uint32_t IdLimit = 1u << 30;
 
   Reg() = default;
   Reg(RegClass Class, uint32_t Id) : Class(Class), Id(Id) {}

@@ -328,11 +328,6 @@ bool vsc::deadCodeElim(Function &F, FunctionAnalyses &FA) {
   return Any;
 }
 
-bool vsc::deadCodeElim(Function &F) {
-  FunctionAnalyses FA(F);
-  return deadCodeElim(F, FA);
-}
-
 //===----------------------------------------------------------------------===//
 // Classical loop-invariant code motion
 //===----------------------------------------------------------------------===//
@@ -490,11 +485,6 @@ bool vsc::classicalLicm(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
   return Any;
 }
 
-bool vsc::classicalLicm(Function &F) {
-  FunctionAnalyses FA(F);
-  return classicalLicm(F, FA);
-}
-
 //===----------------------------------------------------------------------===//
 // Pipeline
 //===----------------------------------------------------------------------===//
@@ -553,14 +543,4 @@ bool vsc::runClassicalPipeline(Function &F, FunctionAnalyses &FA,
     Any = true;
   }
   return Any;
-}
-
-bool vsc::runClassicalPipeline(Function &F) {
-  FunctionAnalyses FA(F);
-  return runClassicalPipeline(F, FA);
-}
-
-void vsc::runClassicalPipeline(Module &M) {
-  for (auto &F : M.functions())
-    runClassicalPipeline(*F);
 }

@@ -21,7 +21,6 @@
 #define VSC_OPT_CLASSICAL_H
 
 #include "ir/Function.h"
-#include "ir/Module.h"
 #include "pm/Analysis.h"
 
 namespace vsc {
@@ -39,9 +38,8 @@ bool copyPropagate(Function &F);
 bool localValueNumbering(Function &F, const AliasAnalysis *AA = nullptr);
 
 /// Removes instructions whose results are dead and which have no side
-/// effects. Iterates to a fixed point. The \p FA overload reads liveness
-/// from the cache and invalidates it after each mutating sweep.
-bool deadCodeElim(Function &F);
+/// effects. Iterates to a fixed point, reading liveness from \p FA and
+/// invalidating it after each mutating sweep.
 bool deadCodeElim(Function &F, FunctionAnalyses &FA);
 
 /// Classical (non-speculative) loop-invariant code motion: hoists pure
@@ -49,16 +47,12 @@ bool deadCodeElim(Function &F, FunctionAnalyses &FA);
 /// whose block dominates every loop exit when no in-loop store may alias.
 /// This deliberately refuses the conditional loads/stores the paper's
 /// speculative load/store motion handles — that contrast is experiment E7.
-bool classicalLicm(Function &F);
 bool classicalLicm(Function &F, FunctionAnalyses &FA, bool FlowAlias = true);
 
-/// The full baseline pipeline; \returns true if anything changed. The
-/// \p FA overload threads the analysis cache through every sub-pass (the
-/// free-function form builds a throwaway cache).
-bool runClassicalPipeline(Function &F);
+/// The full baseline pipeline; \returns true if anything changed. \p FA
+/// is threaded through every sub-pass.
 bool runClassicalPipeline(Function &F, FunctionAnalyses &FA,
                           bool FlowAlias = true);
-void runClassicalPipeline(Module &M);
 
 } // namespace vsc
 

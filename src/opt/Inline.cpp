@@ -9,6 +9,9 @@ using namespace vsc;
 
 namespace {
 
+/// Bound on total inlined instructions per caller (growth limit).
+constexpr size_t MaxGrowthPerCaller = 400;
+
 /// \returns true if \p F calls nothing at all (not even builtins): its
 /// physical argument/result registers can then be remapped wholesale.
 bool isPureLeaf(const Function &F) {
@@ -134,7 +137,7 @@ unsigned vsc::inlineLeafFunctions(Module &M, const InlineOptions &Opts) {
             continue;
           size_t Size = Callee->instrCount();
           if (Size > Opts.MaxCalleeInstrs ||
-              Growth + Size > Opts.MaxGrowthPerCaller)
+              Growth + Size > MaxGrowthPerCaller)
             continue;
           inlineSite(F, B, I, *Callee);
           Growth += Size;

@@ -28,13 +28,12 @@ namespace vsc {
 struct InlineOptions {
   /// Callees above this size are never inlined.
   size_t MaxCalleeInstrs = 48;
-  /// Bound on total inlined instructions per caller (growth limit).
-  size_t MaxGrowthPerCaller = 400;
 };
 
 /// Inlines eligible call sites: the callee must be a leaf (no calls to
 /// anything but the I/O builtins), non-recursive by construction, small,
-/// and not the caller itself. \returns number of call sites inlined.
+/// and not the caller itself; at most 400 instructions are inlined into
+/// any one caller. \returns number of call sites inlined.
 unsigned inlineLeafFunctions(Module &M, const InlineOptions &Opts = {});
 
 } // namespace vsc

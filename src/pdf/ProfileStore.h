@@ -76,8 +76,8 @@ public:
   /// A zero-count profile shaped after \p Img (key tables + fingerprint).
   static DenseProfile forImage(const SimImage &Img);
 
-  /// Adds one run's dense slot counters (from SimEngine::run(Opts, Dense)
-  /// against the image this profile was shaped after).
+  /// Adds one run's dense slot counters (from SimEngine::runBatch's
+  /// \p Dense output against the image this profile was shaped after).
   void accumulate(const DenseCounters &C);
 
   /// Adds \p O into this profile. \returns "" on success, else a

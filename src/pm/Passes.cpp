@@ -49,7 +49,7 @@ PreservedAnalyses UnspeculationPass::run(Function &F, Module &,
 
 PreservedAnalyses UnrollRenamePass::run(Function &F, Module &,
                                         FunctionAnalyses &FA) {
-  unrollInnermostLoops(F, Factor, /*MaxBodyInstrs=*/64, FA);
+  unrollInnermostLoops(F, FA, Factor);
   straighten(F);
   renameInnermostLoops(F, FA);
   return PreservedAnalyses::all();
@@ -64,7 +64,7 @@ PreservedAnalyses PipeliningPass::run(Function &F, Module &M,
   std::vector<LoopPipelineRecord> Records;
   if (Log && Exact != ExactPipelineMode::Off)
     PO.Records = &Records;
-  pipelineInnermostLoops(F, MM, M, PO, FA);
+  pipelineInnermostLoops(F, MM, M, FA, PO);
   if (PO.Records)
     Log->append(std::move(Records));
   return PreservedAnalyses::all();
@@ -72,15 +72,13 @@ PreservedAnalyses PipeliningPass::run(Function &F, Module &M,
 
 PreservedAnalyses GlobalSchedulePass::run(Function &F, Module &M,
                                           FunctionAnalyses &FA) {
-  globalSchedule(F, MM, M, Opts, FA);
+  globalSchedule(F, MM, M, FA, Opts);
   return PreservedAnalyses::all();
 }
 
 PreservedAnalyses CombiningPass::run(Function &F, Module &,
                                      FunctionAnalyses &FA) {
-  CombineOptions CO;
-  CO.FlowAlias = FlowAlias;
-  limitedCombine(F, CO, FA);
+  limitedCombine(F, FA, FlowAlias);
   if (copyPropagate(F))
     FA.invalidate(PreservedAnalyses::structure());
   deadCodeElim(F, FA);
@@ -97,7 +95,7 @@ PreservedAnalyses StraightenPass::run(Function &F, Module &,
 
 PreservedAnalyses BlockExpansionPass::run(Function &F, Module &,
                                           FunctionAnalyses &FA) {
-  expandBasicBlocks(F, MM, ExpansionOptions(), FA);
+  expandBasicBlocks(F, MM, FA);
   return PreservedAnalyses::all();
 }
 
@@ -112,7 +110,7 @@ PreservedAnalyses PrologPass::run(Function &F, Module &,
                                   FunctionAnalyses &FA) {
   // insertPrologEpilog reads the cache for tailored placement but the
   // spill insertions leave it stale.
-  insertPrologEpilog(F, Tailored, FA);
+  insertPrologEpilog(F, FA, Tailored);
   return PreservedAnalyses::none();
 }
 

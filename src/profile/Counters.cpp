@@ -356,16 +356,22 @@ Instrumentation vsc::instrumentModule(Module &M, bool HoistCounters) {
     // The paper's optimization: counter cells are loop-invariant locations,
     // so speculative load/store motion register-caches them, leaving one
     // AI per counted block inside loops.
-    speculativeLoadStoreMotion(M);
+    FunctionAnalysisManager FAM(M);
+    for (auto &F : M.functions())
+      speculativeLoadStoreMotion(*F, M, FAM.on(*F));
     for (auto &F : M.functions()) {
-      copyPropagate(*F);
-      localValueNumbering(*F);
-      deadCodeElim(*F);
-      classicalLicm(*F);
+      FunctionAnalyses &FA = FAM.on(*F);
+      // Both rewrite non-terminators only.
+      if (copyPropagate(*F))
+        FA.invalidate(PreservedAnalyses::structure());
+      if (localValueNumbering(*F))
+        FA.invalidate(PreservedAnalyses::structure());
+      deadCodeElim(*F, FA);
+      classicalLicm(*F, FA);
       // Coalesce the register-cached "AI rV = rC, 1; LR rC = rV" pairs to
       // the paper's single in-loop instruction per counted block.
-      limitedCombine(*F);
-      deadCodeElim(*F);
+      limitedCombine(*F, FA);
+      deadCodeElim(*F, FA);
     }
   }
   return Info;
@@ -426,10 +432,9 @@ std::unique_ptr<Module> vsc::prepareForTraining(const Module &Source) {
 }
 
 ProfileCollector::ProfileCollector(const Module &Source,
-                                   const MachineModel &Machine,
-                                   bool HoistCounters)
+                                   const MachineModel &Machine)
     : Instrumented(prepareForTraining(Source)),
-      Info(instrumentModule(*Instrumented, HoistCounters)),
+      Info(instrumentModule(*Instrumented)),
       Engine(*Instrumented, Machine) {}
 
 std::unordered_map<std::string, uint64_t>

@@ -97,9 +97,8 @@ std::unique_ptr<Module> prepareForTraining(const Module &Source);
 class ProfileCollector {
 public:
   /// \p Source is the raw (unprepared) module; it is cloned, never
-  /// modified.
-  ProfileCollector(const Module &Source, const MachineModel &Machine,
-                   bool HoistCounters = true);
+  /// modified. Its counters are hoisted (instrumentModule).
+  ProfileCollector(const Module &Source, const MachineModel &Machine);
 
   /// Counter values summed over a whole training battery, fanned out over
   /// \p Threads workers (0 defers to VSC_THREADS). Summation order is the

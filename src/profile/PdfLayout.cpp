@@ -150,7 +150,9 @@ bool vsc::pdfReverseBranches(Function &F, const ProfileData &P,
     if (!Changed)
       break;
   }
-  if (Any)
-    expandBasicBlocks(F, MM);
+  if (Any) {
+    FunctionAnalyses FA(F);
+    expandBasicBlocks(F, MM, FA);
+  }
   return Any;
 }

@@ -13,6 +13,12 @@ using namespace vsc;
 
 namespace {
 
+/// A trace keeps extending while the followed edge has at least this
+/// probability.
+constexpr double MinEdgeProbability = 0.6;
+/// Blocks per trace at most.
+constexpr unsigned MaxTraceBlocks = 8;
+
 /// Grows one trace from \p Seed along most-probable successors.
 std::vector<BasicBlock *> growTrace(Function &F, const Cfg &G,
                                     const LoopInfo &LI, const ProfileData &P,
@@ -23,7 +29,7 @@ std::vector<BasicBlock *> growTrace(Function &F, const Cfg &G,
   std::vector<BasicBlock *> Trace{Seed};
   std::unordered_set<const BasicBlock *> InTrace{Seed};
   BasicBlock *Cur = Seed;
-  while (Trace.size() < Opts.MaxTraceBlocks) {
+  while (Trace.size() < MaxTraceBlocks) {
     const CfgEdge *Best = nullptr;
     double BestProb = 0;
     for (const CfgEdge &E : G.succs(Cur)) {
@@ -33,7 +39,7 @@ std::vector<BasicBlock *> growTrace(Function &F, const Cfg &G,
         BestProb = Prob;
       }
     }
-    if (!Best || BestProb < Opts.MinEdgeProbability)
+    if (!Best || BestProb < MinEdgeProbability)
       break;
     BasicBlock *Next = Best->To;
     if (InTrace.count(Next) || Taken.count(Next) || Next == F.entry())

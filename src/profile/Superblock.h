@@ -28,10 +28,6 @@ namespace vsc {
 struct SuperblockOptions {
   /// Minimum execution count for a block to seed or extend a trace.
   uint64_t HotThreshold = 16;
-  /// Keep extending while the followed edge has at least this probability.
-  double MinEdgeProbability = 0.6;
-  /// Maximum blocks per trace.
-  unsigned MaxTraceBlocks = 8;
   /// Total duplicated-instruction budget per function.
   size_t MaxGrowth = 256;
 };

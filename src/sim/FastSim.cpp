@@ -1,6 +1,6 @@
 //===- sim/FastSim.cpp - Predecoded simulator fast path ---------------------===//
 ///
-/// The execution engine behind vsc::simulate / simulateBatch / SimEngine:
+/// The execution engine behind vsc::simulate and SimEngine:
 /// runs the functional+timing loop over the packed 32-byte records of a
 /// SimImage (sim/Predecode.h). The loop body, one switch over the record's
 /// opcode, lives in FastSimBody.inc; values come from sim/ValueCore.h
@@ -341,11 +341,6 @@ RunResult SimEngine::run(const RunOptions &Opts) {
   return FM.run();
 }
 
-RunResult SimEngine::run(const RunOptions &Opts, DenseCounters &Dense) {
-  FastMachine FM(S->Img, Opts, S->A, &Dense);
-  return FM.run();
-}
-
 std::vector<RunResult>
 SimEngine::runBatch(const std::vector<RunOptions> &Batch, unsigned Threads,
                     std::vector<DenseCounters> *Dense) {
@@ -398,11 +393,4 @@ RunResult vsc::simulate(const Module &M, const MachineModel &Machine,
   Arena A;
   FastMachine FM(Img, Opts, A);
   return FM.run();
-}
-
-std::vector<RunResult>
-vsc::simulateBatch(const Module &M, const MachineModel &Machine,
-                   const std::vector<RunOptions> &Batch, unsigned Threads) {
-  SimEngine E(M, Machine);
-  return E.runBatch(Batch, Threads);
 }

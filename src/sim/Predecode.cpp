@@ -25,7 +25,7 @@ SimBuiltin classifyBuiltin(const std::string &Sym) {
 }
 
 PackedReg pack(Reg R) {
-  assert(R.id() < (1u << 30) && "register id overflows the packed encoding");
+  assert(R.id() < Reg::IdLimit && "register id overflows the packed encoding");
   return packReg(R);
 }
 

@@ -28,7 +28,7 @@
 /// targets are block heads, never mid-block).
 ///
 /// The image is immutable and independent of RunOptions, so one image
-/// serves a whole batch of runs (simulateBatch / SimEngine). Predecode
+/// serves a whole batch of runs (SimEngine::runBatch). Predecode
 /// also asserts profiling-key uniqueness: duplicate block labels within a
 /// function (or duplicate function names) would merge counters.
 ///
@@ -74,8 +74,8 @@ enum : uint8_t {
 };
 
 /// Registers packed to 4 bytes: class in the top 2 bits, id in the low 30
-/// (virtual ids are unbounded but far below 2^30 in practice; predecode
-/// asserts). An invalid Reg packs to 0 (RegClass::None, id 0).
+/// (ids stay below Reg::IdLimit; predecode asserts). An invalid Reg packs
+/// to 0 (RegClass::None, id 0).
 using PackedReg = uint32_t;
 
 inline PackedReg packReg(Reg R) {
@@ -84,7 +84,7 @@ inline PackedReg packReg(Reg R) {
 inline RegClass packedClass(PackedReg P) {
   return static_cast<RegClass>(P >> 30);
 }
-inline uint32_t packedId(PackedReg P) { return P & 0x3fffffffu; }
+inline uint32_t packedId(PackedReg P) { return P & (Reg::IdLimit - 1); }
 
 /// DecodedInstr::Flags bits. CrBit occupies bits 5..6.
 enum : uint8_t {

@@ -140,19 +140,6 @@ RunResult simulate(const Module &M, const MachineModel &Machine,
 RunResult simulateLegacy(const Module &M, const MachineModel &Machine,
                          const RunOptions &Opts = RunOptions());
 
-/// Predecodes \p M once and runs every element of \p Batch against the
-/// shared decoded image — the shape the profiling ground-truth runs and
-/// the PDF experiment batteries want. Results are positionally matched to
-/// \p Batch, so they are deterministic at every thread count. \p Threads
-/// 0 defers to the VSC_THREADS environment variable (default 1); at one
-/// thread the runs share a single pooled memory arena, allocation-
-/// identical to the pre-threaded path, while larger counts fan the batch
-/// out across the work-stealing pool with one arena per worker.
-std::vector<RunResult> simulateBatch(const Module &M,
-                                     const MachineModel &Machine,
-                                     const std::vector<RunOptions> &Batch,
-                                     unsigned Threads = 0);
-
 struct SimImage;
 
 /// One run's dense counter slots, indexed exactly like the image's
@@ -177,19 +164,16 @@ public:
 
   RunResult run(const RunOptions &Opts = RunOptions());
 
-  /// Like run(), but exports the block/edge counters as dense slot vectors
-  /// into \p Dense and skips materializing the string-keyed
-  /// RunResult::BlockCounts / EdgeCounts maps entirely — the profile-
-  /// collection fast path (pdf/ProfileStore.h).
-  RunResult run(const RunOptions &Opts, DenseCounters &Dense);
-
   /// Runs every element of \p Batch against the engine's image. \p Threads
   /// 0 defers to VSC_THREADS (default 1); one thread reuses the engine's
   /// pooled arena exactly like sequential run() calls, more threads fan
   /// the batch out over the work-stealing pool with per-worker arenas.
   /// Results (and \p Dense slots, when requested) are positionally
   /// matched to \p Batch, so the output is identical at every thread
-  /// count.
+  /// count. With \p Dense the block/edge counters are exported as dense
+  /// slot vectors and the string-keyed RunResult::BlockCounts / EdgeCounts
+  /// maps are not materialized — the profile-collection fast path
+  /// (pdf/ProfileStore.h).
   std::vector<RunResult> runBatch(const std::vector<RunOptions> &Batch,
                                   unsigned Threads = 1,
                                   std::vector<DenseCounters> *Dense = nullptr);

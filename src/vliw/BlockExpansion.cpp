@@ -13,6 +13,9 @@ using namespace vsc;
 
 namespace {
 
+/// Expansions applied per function at most (the code-growth bound).
+constexpr unsigned MaxExpansions = 16;
+
 struct Pos {
   BasicBlock *BB;
   size_t Idx;
@@ -40,7 +43,7 @@ unsigned tailSeparation(const BasicBlock &BB) {
 /// Walks the code starting at label \p Target gathering the copy region.
 /// \returns true and sets \p Stop (inclusive) on success.
 bool findStoppingPoint(Function &F, const std::string &Target, unsigned Need,
-                       const ExpansionOptions &Opts, Pos &Stop) {
+                       unsigned Window, Pos &Stop) {
   BasicBlock *BB = F.findBlock(Target);
   assert(BB && "verified function");
   size_t Idx = 0;
@@ -52,7 +55,7 @@ bool findStoppingPoint(Function &F, const std::string &Target, unsigned Need,
   std::unordered_set<const BasicBlock *> Visited;
   Visited.insert(BB);
 
-  while (Walked < Opts.Window) {
+  while (Walked < Window) {
     if (Idx >= BB->size()) {
       // Fallthrough.
       size_t BI = F.indexOf(BB);
@@ -193,14 +196,12 @@ void cloneChain(Function &F, BasicBlock *P, const std::string Target,
 } // namespace
 
 bool vsc::expandBasicBlocks(Function &F, const MachineModel &MM,
-                            const ExpansionOptions &Opts,
-                            FunctionAnalyses &FA) {
+                            FunctionAnalyses &FA, unsigned Window) {
   bool Any = false;
-  unsigned Applied = 0;
   // Each expansion restructures the layout; restart the scan after one.
   // cloneChain inserts blocks, so the epoch bump refreshes the cached Cfg
   // on the next round automatically.
-  for (unsigned Guard = 0; Guard < Opts.MaxExpansions; ++Guard) {
+  for (unsigned Guard = 0; Guard < MaxExpansions; ++Guard) {
     const Cfg &G = FA.cfg();
     bool Changed = false;
     for (auto &BBPtr : F.blocks()) {
@@ -217,7 +218,7 @@ bool vsc::expandBasicBlocks(Function &F, const MachineModel &MM,
         continue;
       unsigned Need = MM.ExpansionObjective;
       Pos Stop{nullptr, 0};
-      if (!findStoppingPoint(F, Last.Target, Need, Opts, Stop))
+      if (!findStoppingPoint(F, Last.Target, Need, Window, Stop))
         continue;
       // The walk can wrap around a loop and stop inside P itself; the
       // continuation split would then steal the very branch being
@@ -227,7 +228,6 @@ bool vsc::expandBasicBlocks(Function &F, const MachineModel &MM,
       cloneChain(F, P, Last.Target, Stop);
       Changed = true;
       Any = true;
-      ++Applied;
       break;
     }
     if (!Changed)
@@ -237,12 +237,5 @@ bool vsc::expandBasicBlocks(Function &F, const MachineModel &MM,
     removeUnreachableBlocks(F);
     straighten(F);
   }
-  (void)Applied;
   return Any;
-}
-
-bool vsc::expandBasicBlocks(Function &F, const MachineModel &MM,
-                            const ExpansionOptions &Opts) {
-  FunctionAnalyses FA(F);
-  return expandBasicBlocks(F, MM, Opts, FA);
 }

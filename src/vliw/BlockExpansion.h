@@ -31,18 +31,11 @@
 
 namespace vsc {
 
-struct ExpansionOptions {
-  /// Maximum instructions scanned per branch ("the window size").
-  unsigned Window = 24;
-  /// Maximum expansions applied per function (code-growth bound).
-  unsigned MaxExpansions = 16;
-};
-
-/// Runs basic block expansion under \p MM's rules. \returns true on change.
+/// Runs basic block expansion under \p MM's rules, scanning at most
+/// \p Window instructions per branch ("the window size"). \returns true
+/// on change.
 bool expandBasicBlocks(Function &F, const MachineModel &MM,
-                       const ExpansionOptions &Opts = {});
-bool expandBasicBlocks(Function &F, const MachineModel &MM,
-                       const ExpansionOptions &Opts, FunctionAnalyses &FA);
+                       FunctionAnalyses &FA, unsigned Window = 24);
 
 } // namespace vsc
 

@@ -13,6 +13,9 @@ using namespace vsc;
 
 namespace {
 
+/// Instructions walked past the starting instruction at most.
+constexpr unsigned Window = 40;
+
 struct Pos {
   BasicBlock *BB;
   size_t Idx;
@@ -123,8 +126,8 @@ bool hasImplicitUseOf(const Instr &I, Reg R) {
 
 /// Attempts to combine the starting copy/immediate at \p Start. \returns
 /// true if the function changed.
-bool combineFrom(Function &F, const Cfg &G, const Liveness &Live, Pos Start,
-                 const CombineOptions &Opts) {
+bool combineFrom(Function &F, const Cfg &G, const Liveness &Live,
+                 Pos Start) {
   Instr &StartI = Start.BB->instrs()[Start.Idx];
   Reg RD = StartI.Dst;
   Reg RS = StartI.Src1; // invalid for LI
@@ -150,8 +153,8 @@ bool combineFrom(Function &F, const Cfg &G, const Liveness &Live, Pos Start,
   VisitedBlocks.insert(BB);
 
   while (true) {
-    if (Idx >= BB->size() || Walked >= Opts.Window) {
-      if (Walked >= Opts.Window)
+    if (Idx >= BB->size() || Walked >= Window) {
+      if (Walked >= Window)
         break;
       // Block boundary: follow fallthrough or an unconditional branch.
       BasicBlock *Next = nullptr;
@@ -265,9 +268,6 @@ bool combineFrom(Function &F, const Cfg &G, const Liveness &Live, Pos Start,
                              static_cast<long>(Start.Idx));
     return true;
   }
-
-  if (!Opts.AllowDuplication)
-    return false;
 
   // Duplicate the walked sequence up to the last use, in place of the
   // starting instruction, closed by a branch to the continuation.
@@ -439,8 +439,7 @@ bool forwardStoreToLoadOnce(Function &F, const Cfg &G,
 
 } // namespace
 
-bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
-                         FunctionAnalyses &FA) {
+bool vsc::limitedCombine(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
   bool Any = false;
   for (unsigned Guard = 0; Guard < 64; ++Guard) {
     const Cfg &G = FA.cfg();
@@ -454,7 +453,7 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
         const Instr &Ins = BB->instrs()[I];
         if (Ins.Op != Opcode::LR && Ins.Op != Opcode::LI)
           continue;
-        if (combineFrom(F, G, Live, Pos{BB, I}, Opts)) {
+        if (combineFrom(F, G, Live, Pos{BB, I})) {
           Changed = true;
           break;
         }
@@ -466,7 +465,7 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
       Changed = coalesceOnce(F, G, Live);
     // Alias facts only where a query follows: nothing above changed the
     // function this round, so they describe the code the round began with.
-    if (!Changed && Opts.FlowAlias)
+    if (!Changed && FlowAlias)
       Changed = forwardStoreToLoadOnce(F, G, FA);
     if (!Changed)
       break;
@@ -477,9 +476,4 @@ bool vsc::limitedCombine(Function &F, const CombineOptions &Opts,
     removeUnreachableBlocks(F);
   }
   return Any;
-}
-
-bool vsc::limitedCombine(Function &F, const CombineOptions &Opts) {
-  FunctionAnalyses FA(F);
-  return limitedCombine(F, Opts, FA);
 }

@@ -25,22 +25,13 @@
 
 namespace vsc {
 
-struct CombineOptions {
-  /// Maximum instructions walked past the starting instruction.
-  unsigned Window = 40;
-  /// Allow duplication across join points (the "limited" expansion).
-  bool AllowDuplication = true;
-  /// Enable store-to-load forwarding through the flow-sensitive alias
-  /// analysis: a doubleword load that must-alias an earlier same-block
-  /// store (with only provably-disjoint stores in between) becomes an LR
-  /// from the stored register, which the combining walk then collapses.
-  bool FlowAlias = true;
-};
-
 /// Runs limited combining to a fixed point. \returns true on change.
-bool limitedCombine(Function &F, const CombineOptions &Opts = {});
-bool limitedCombine(Function &F, const CombineOptions &Opts,
-                    FunctionAnalyses &FA);
+/// \p FlowAlias enables store-to-load forwarding through the
+/// flow-sensitive alias analysis: a doubleword load that must-alias an
+/// earlier same-block store (with only provably-disjoint stores in between)
+/// becomes an LR from the stored register, which the combining walk then
+/// collapses.
+bool limitedCombine(Function &F, FunctionAnalyses &FA, bool FlowAlias = true);
 
 } // namespace vsc
 

@@ -212,15 +212,3 @@ bool vsc::speculativeLoadStoreMotion(Function &F, const Module &M,
   }
   return Any;
 }
-
-bool vsc::speculativeLoadStoreMotion(Function &F, const Module &M) {
-  FunctionAnalyses FA(F);
-  return speculativeLoadStoreMotion(F, M, FA);
-}
-
-bool vsc::speculativeLoadStoreMotion(Module &M) {
-  bool Any = false;
-  for (auto &F : M.functions())
-    Any |= speculativeLoadStoreMotion(*F, M);
-  return Any;
-}

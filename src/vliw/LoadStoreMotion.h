@@ -37,12 +37,8 @@ namespace vsc {
 /// safety check. \returns true if any group was moved. \p FlowAlias
 /// selects the flow-sensitive tier for condition 4 (and the matching
 /// flow-sensitive extension of condition 5's safety proof).
-bool speculativeLoadStoreMotion(Function &F, const Module &M);
 bool speculativeLoadStoreMotion(Function &F, const Module &M,
                                 FunctionAnalyses &FA, bool FlowAlias = true);
-
-/// Module-wide driver.
-bool speculativeLoadStoreMotion(Module &M);
 
 } // namespace vsc
 

@@ -57,6 +57,10 @@ const char *vsc::pdfLayoutName(int Kept) {
 
 namespace {
 
+/// Innermost loops are unrolled by two before renaming, as in the paper's
+/// li example (two iterations per loop body).
+constexpr unsigned UnrollFactor = 2;
+
 std::function<std::string()> &failureHook() {
   static std::function<std::string()> Hook;
   return Hook;
@@ -117,15 +121,12 @@ void oracleStage(ExecOracle &Oracle, const Module &M,
 /// renumbering rewrites.
 class AliasAuditPass : public ModulePass {
 public:
-  AliasAuditPass(const MachineModel &MM, const AliasClaimLog &Log,
-                 const std::vector<RunOptions> *Battery)
-      : MM(MM), Log(Log), Battery(Battery) {}
+  AliasAuditPass(const MachineModel &MM, const AliasClaimLog &Log)
+      : MM(MM), Log(Log) {}
   const char *name() const override { return "alias-audit"; }
   std::string run(Module &M, FunctionAnalysisManager &) override {
-    AliasAuditStats Stats;
-    AuditResult R = runAliasAudit(
-        M, MM, Battery ? *Battery : defaultAliasAuditBattery(), Log.claims(),
-        &Stats);
+    AuditResult R =
+        runAliasAudit(M, MM, defaultAliasAuditBattery(), Log.claims());
     if (!R.ok())
       failAudit(R);
     return "";
@@ -134,7 +135,6 @@ public:
 private:
   const MachineModel &MM;
   const AliasClaimLog &Log;
-  const std::vector<RunOptions> *Battery;
 };
 
 /// The per-function chain for level \p L (empty at OptLevel::None — the
@@ -159,7 +159,7 @@ FunctionPassManager buildFunctionPipeline(OptLevel L,
   if (Opts.Unspeculation)
     FPM.add(std::make_unique<UnspeculationPass>(FA));
   if (Opts.UnrollAndRename)
-    FPM.add(std::make_unique<UnrollRenamePass>(Opts.UnrollFactor));
+    FPM.add(std::make_unique<UnrollRenamePass>(UnrollFactor));
   if (Opts.Pipelining)
     FPM.add(std::make_unique<PipeliningPass>(Opts.Machine, FA,
                                              Opts.ExactPipelining,
@@ -197,7 +197,6 @@ uint64_t vsc::optionsFingerprint(OptLevel L, const PipelineOptions &Opts) {
   };
   Word(static_cast<uint64_t>(L));
   Word(machineFingerprint(Opts.Machine));
-  Word(Opts.UnrollFactor);
   // One bit per pass toggle, in declaration order; adding a toggle here is
   // part of adding it to PipelineOptions (the service's cached compiles key
   // on this value).
@@ -342,8 +341,7 @@ void vsc::optimize(Module &M, OptLevel L, const PipelineOptions &Opts) {
   AliasClaimSink *PrevSink = nullptr;
   if (Opts.AliasAudit) {
     PrevSink = setAliasClaimSink(&ClaimLog);
-    MPM.add(std::make_unique<AliasAuditPass>(Opts.Machine, ClaimLog,
-                                             Opts.AliasAuditBattery));
+    MPM.add(std::make_unique<AliasAuditPass>(Opts.Machine, ClaimLog));
   }
   MPM.add(std::make_unique<RenumberPass>());
 

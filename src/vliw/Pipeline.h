@@ -68,11 +68,10 @@ struct PipelineStats {
 
 struct PipelineOptions {
   MachineModel Machine;
-  unsigned UnrollFactor = 2;
   /// Inline small pure-leaf callees first (exposes call-bearing loops to
   /// renaming and pipeline scheduling). Off by default so the SPECint
   /// comparison measures the paper's techniques in isolation; see
-  /// bench_inlining.
+  /// bench_extensions.
   bool Inlining = false;
   bool LoadStoreMotion = true;
   bool Unspeculation = true;
@@ -126,9 +125,8 @@ struct PipelineOptions {
   /// claims are keyed by instruction id) re-enumerates claims on the final
   /// module, simulates the audit battery with an effective-address watcher
   /// and aborts if any claimed-NoAlias pair overlapped inside its window.
+  /// The audit simulates defaultAliasAuditBattery().
   bool AliasAudit = false;
-  /// Inputs the alias audit simulates; null uses defaultAliasAuditBattery().
-  const std::vector<RunOptions> *AliasAuditBattery = nullptr;
   /// Verify the module between pass stages (aborts with the stage name on
   /// breakage) — on by default; this project treats it as a regression net.
   bool Verify = true;
@@ -166,8 +164,8 @@ inline void optimize(Module &M, OptLevel L) {
 }
 
 /// Canonical fingerprint of every option that can change the bytes of the
-/// optimized module: the level, every pass toggle, the unroll factor, and
-/// the machine parameters (machineFingerprint). Two optimize() runs over
+/// optimized module: the level, every pass toggle, the exact-pipelining
+/// mode and budgets, and the machine parameters (machineFingerprint). Two optimize() runs over
 /// modules with equal content and equal option fingerprints produce
 /// byte-identical output. Deliberately EXCLUDED: Threads (byte-identical
 /// at every count by the parallel driver's contract), Stats, and the

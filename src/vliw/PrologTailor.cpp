@@ -71,8 +71,8 @@ std::vector<BasicBlock *> reachableFrom(const Cfg &G, BasicBlock *From) {
 
 } // namespace
 
-unsigned vsc::insertPrologEpilog(Function &F, bool Tailored,
-                                 FunctionAnalyses &FA) {
+unsigned vsc::insertPrologEpilog(Function &F, FunctionAnalyses &FA,
+                                 bool Tailored) {
   std::vector<Reg> Regs = killedCalleeSaved(F);
   if (Regs.empty())
     return 0;
@@ -175,11 +175,6 @@ unsigned vsc::insertPrologEpilog(Function &F, bool Tailored,
     }
   }
   return static_cast<unsigned>(Regs.size());
-}
-
-unsigned vsc::insertPrologEpilog(Function &F, bool Tailored) {
-  FunctionAnalyses FA(F);
-  return insertPrologEpilog(F, Tailored, FA);
 }
 
 std::string vsc::verifyUnwindInvariant(Function &F) {

@@ -42,11 +42,11 @@ namespace vsc {
 
 /// Inserts callee-save spills/reloads for every killed r13..r31.
 /// \p Tailored false = classic prolog (all saves at entry, all restores at
-/// every return); true = the paper's tailored placement.
-/// \returns number of registers saved.
-unsigned insertPrologEpilog(Function &F, bool Tailored);
-unsigned insertPrologEpilog(Function &F, bool Tailored,
-                            FunctionAnalyses &FA);
+/// every return); true = the paper's tailored placement, which reads \p FA.
+/// The spill insertions leave \p FA stale. \returns number of registers
+/// saved.
+unsigned insertPrologEpilog(Function &F, FunctionAnalyses &FA,
+                            bool Tailored);
 
 /// Checks the paper's unwind invariant on a function processed by
 /// insertPrologEpilog: every join point must be reached with one unique

@@ -196,8 +196,3 @@ unsigned vsc::renameInnermostLoops(Function &F, FunctionAnalyses &FA) {
   }
   return Count;
 }
-
-unsigned vsc::renameInnermostLoops(Function &F) {
-  FunctionAnalyses FA(F);
-  return renameInnermostLoops(F, FA);
-}

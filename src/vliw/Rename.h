@@ -36,7 +36,6 @@ std::vector<BasicBlock *> loopChain(const Cfg &G, const Loop &L);
 bool renameLoopLiveRanges(Function &F, const Loop &L);
 
 /// Runs renaming on every innermost chain-shaped loop. \returns count.
-unsigned renameInnermostLoops(Function &F);
 unsigned renameInnermostLoops(Function &F, FunctionAnalyses &FA);
 
 } // namespace vsc

@@ -417,6 +417,12 @@ std::string vsc::formatAsVliw(const BasicBlock &BB, const MachineModel &MM) {
 
 namespace {
 
+/// Instructions hoisted into any single block at most.
+constexpr unsigned MaxHoistPerBlock = 8;
+/// Join-point hoisting duplicates the operation into every predecessor
+/// (the paper's bookkeeping copies); this caps the fan-in considered.
+constexpr unsigned MaxJoinPreds = 3;
+
 /// A successor a probe of P may hoist from, with its predecessors: the
 /// blocks that receive the moved instruction or a bookkeeping copy.
 struct HoistSource {
@@ -434,8 +440,6 @@ std::vector<HoistSource> hoistSources(const Function &F, BasicBlock *P,
   size_t PTerm = P->firstTerminatorIdx();
   bool PEndsConditional =
       PTerm < P->size() && P->instrs()[PTerm].isCondBranch();
-  if (PEndsConditional && !Opts.SpeculativeHoist)
-    return Sources;
 
   // With a profile, try a clearly-hot successor first. Bucketised so that
   // near-balanced probabilities (profile noise) do not perturb the
@@ -473,7 +477,7 @@ std::vector<HoistSource> hoistSources(const Function &F, BasicBlock *P,
     for (BasicBlock *Q : G.preds(S))
       if (std::find(AllPreds.begin(), AllPreds.end(), Q) == AllPreds.end())
         AllPreds.push_back(Q);
-    if (AllPreds.empty() || AllPreds.size() > Opts.MaxJoinPreds)
+    if (AllPreds.empty() || AllPreds.size() > MaxJoinPreds)
       continue;
     // Hoisting into a latch would rotate code across the back edge — that
     // is pipeline scheduling's job, with its own legality conditions.
@@ -505,8 +509,7 @@ struct Hoist {
 template <typename AliasFn>
 Hoist findHoist(const Module &M, const MachineModel &MM, BasicBlock *P,
                 const std::vector<HoistSource> &Sources, const Cfg &G,
-                const Liveness &Live, const GlobalScheduleOptions &Opts,
-                AliasFn &&GetAA) {
+                const Liveness &Live, AliasFn &&GetAA) {
   std::vector<Reg> Defs, Uses, Tmp;
   DefUseTable SDefUse;
   std::vector<bool> DefBefore, UseBefore;
@@ -524,8 +527,6 @@ Hoist findHoist(const Module &M, const MachineModel &MM, BasicBlock *P,
       bool QConditional =
           QTerm < Q->size() && Q->instrs()[QTerm].isCondBranch();
       if (QConditional) {
-        if (!Opts.SpeculativeHoist)
-          return false;
         bool Safe = Cand.isSafeToSpeculate();
         if (!Safe && Cand.isLoad()) {
           const AliasAnalysis *AA = GetAA();
@@ -687,8 +688,8 @@ void recordAlias(const AliasAnalysis &AA, const BasicBlock *P,
 } // namespace
 
 bool vsc::globalSchedule(Function &F, const MachineModel &MM,
-                         const Module &M, const GlobalScheduleOptions &Opts,
-                         FunctionAnalyses &FA) {
+                         const Module &M, FunctionAnalyses &FA,
+                         const GlobalScheduleOptions &Opts) {
   // Local scheduling reorders only the non-terminator prefix of each
   // block, which every cached analysis survives (alias facts are keyed by
   // instruction id, and a dependence-safe reorder never changes the value
@@ -758,7 +759,7 @@ bool vsc::globalSchedule(Function &F, const MachineModel &MM,
       if (!G.isReachable(P))
         continue;
       BlockState &PS = State[P];
-      if (PS.Hoisted >= Opts.MaxHoistPerBlock)
+      if (PS.Hoisted >= MaxHoistPerBlock)
         continue;
       // A known failure stands while the alias facts its probe read give
       // the same answers.
@@ -769,14 +770,14 @@ bool vsc::globalSchedule(Function &F, const MachineModel &MM,
       if (PS.Fails) {
         PS.CheckedAt = Hoists;
         if (FA.checking() &&
-            findHoist(M, MM, P, PS.Sources, G, Live, Opts, GetAA).Src)
+            findHoist(M, MM, P, PS.Sources, G, Live, GetAA).Src)
           FA.reportCheckFailure("global scheduling skipped a probe of " +
                                 P->label() + " in @" + F.name() +
                                 " that hoists");
         continue;
       }
       AAFetched = false;
-      Hoist H = findHoist(M, MM, P, PS.Sources, G, Live, Opts, GetAA);
+      Hoist H = findHoist(M, MM, P, PS.Sources, G, Live, GetAA);
       if (!H.Src) {
         PS.Fails = true;
         PS.CheckedAt = Hoists;
@@ -816,18 +817,14 @@ bool vsc::globalSchedule(Function &F, const MachineModel &MM,
   return Any;
 }
 
-bool vsc::globalSchedule(Function &F, const MachineModel &MM,
-                         const Module &M,
-                         const GlobalScheduleOptions &Opts) {
-  FunctionAnalyses FA(F);
-  return globalSchedule(F, MM, M, Opts, FA);
-}
-
 //===----------------------------------------------------------------------===//
 // Enhanced pipeline scheduling (rotation across the back edge)
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+/// Rotation attempts per loop for the greedy heuristic.
+constexpr unsigned MaxRotations = 8;
 
 struct ChainSnapshot {
   std::vector<std::vector<Instr>> Blocks;
@@ -1007,7 +1004,7 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
   unsigned Best = estimateSteadyStateCycles(Chain, MM);
 
   unsigned Kept = 0;
-  for (unsigned Rot = 0; Rot != PO.MaxRotations; ++Rot) {
+  for (unsigned Rot = 0; Rot != MaxRotations; ++Rot) {
     ChainSnapshot Snap;
     unsigned Now = 0;
     if (!tryRotate(F, MM, M, Chain, PH, TailExitTargets, PO.FlowAlias, FA,
@@ -1069,7 +1066,7 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
       // machinery — unlike the greedy loop, a non-improving rotation is
       // kept as the starting point of the next one; the best state seen
       // is what gets installed.
-      for (unsigned Rot = 0; Rot != PO.MaxRotations; ++Rot) {
+      for (unsigned Rot = 0; Rot != MaxRotations; ++Rot) {
         ChainSnapshot Snap;
         unsigned Now = 0;
         if (!tryRotate(F, MM, M, Chain, PH, TailExitTargets, PO.FlowAlias,
@@ -1095,16 +1092,14 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
 } // namespace
 
 unsigned vsc::pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                     const Module &M,
-                                     const PipelineLoopOptions &Opts,
-                                     FunctionAnalyses &FA) {
+                                     const Module &M, FunctionAnalyses &FA,
+                                     const PipelineLoopOptions &Opts) {
   unsigned Total = 0;
   std::unordered_set<std::string> Done;
   for (unsigned Guard = 0; Guard < 32; ++Guard) {
-    // Loop discovery reads the shared cache (no more throwaway
-    // Cfg/Dominators per loop): when pipelineLoop creates a preheader the
-    // CFG epoch bump refreshes it automatically, and instruction-only
-    // motion invalidates explicitly inside pipelineLoop.
+    // Loop discovery reads the shared cache: when pipelineLoop creates a
+    // preheader the CFG epoch bump refreshes it automatically, and
+    // instruction-only motion invalidates explicitly inside pipelineLoop.
     Loop *Todo = nullptr;
     for (Loop *L : FA.loops().innermostLoops())
       if (!Done.count(L->Header->label())) {
@@ -1117,20 +1112,4 @@ unsigned vsc::pipelineInnermostLoops(Function &F, const MachineModel &MM,
     Total += pipelineLoop(F, MM, M, *Todo, Opts, FA);
   }
   return Total;
-}
-
-unsigned vsc::pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                     const Module &M, unsigned MaxRotations,
-                                     FunctionAnalyses &FA, bool FlowAlias) {
-  PipelineLoopOptions Opts;
-  Opts.MaxRotations = MaxRotations;
-  Opts.FlowAlias = FlowAlias;
-  return pipelineInnermostLoops(F, MM, M, Opts, FA);
-}
-
-unsigned vsc::pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                     const Module &M,
-                                     unsigned MaxRotations) {
-  FunctionAnalyses FA(F);
-  return pipelineInnermostLoops(F, MM, M, MaxRotations, FA);
 }

@@ -54,17 +54,10 @@ unsigned estimateSteadyStateCycles(const std::vector<BasicBlock *> &Chain,
                                    const MachineModel &MM);
 
 struct GlobalScheduleOptions {
-  /// Upper bound on instructions hoisted into any single block.
-  unsigned MaxHoistPerBlock = 8;
-  /// Enable speculative hoisting above conditional branches.
-  bool SpeculativeHoist = true;
   /// Profile-directed heuristic (the paper's PDF application): operations
   /// on an improbable path are treated as speculative-and-unwanted; hoists
   /// prefer the likely successor.
   const ProfileData *Profile = nullptr;
-  /// Join-point hoisting duplicates the operation into every predecessor
-  /// (the paper's bookkeeping copies); this caps the fan-in considered.
-  unsigned MaxJoinPreds = 3;
   /// Disambiguate through the cached flow-sensitive alias analysis
   /// (analysis/ValueTrack.h). Off = syntactic tier only (the bench_alias
   /// ablation baseline).
@@ -72,17 +65,15 @@ struct GlobalScheduleOptions {
 };
 
 /// Local scheduling everywhere plus cross-block upward motion into idle
-/// slots. \p M provides global sizes for load-safety proofs. \returns true
-/// if anything changed. The \p FA overload shares cached analyses with the
-/// rest of the pipeline (the free-function form builds a throwaway cache).
+/// slots: at most 8 instructions into any one block, and across a join
+/// only when it has at most 3 predecessors. \p M provides global sizes for
+/// load-safety proofs. \returns true if anything changed. Analyses come
+/// from, and are kept current in, \p FA.
 bool globalSchedule(Function &F, const MachineModel &MM, const Module &M,
+                    FunctionAnalyses &FA,
                     const GlobalScheduleOptions &Opts = {});
-bool globalSchedule(Function &F, const MachineModel &MM, const Module &M,
-                    const GlobalScheduleOptions &Opts, FunctionAnalyses &FA);
 
 struct PipelineLoopOptions {
-  /// Rotation attempts per loop for the greedy heuristic.
-  unsigned MaxRotations = 8;
   /// Disambiguate through the cached flow-sensitive alias tier.
   bool FlowAlias = true;
   /// Exact software pipelining (pipelining/ExactPipeliner.h): Grade runs
@@ -99,19 +90,13 @@ struct PipelineLoopOptions {
 
 /// Software-pipelines every innermost chain-shaped loop of \p F by rotating
 /// operations across the back edge while the steady-state estimate
-/// improves; optionally grades the result against (or replaces it with)
-/// the exact modulo scheduler. \returns the total number of rotations
-/// kept. Loop discovery, liveness and alias queries all go through the
-/// shared analysis cache \p FA.
+/// improves (at most 8 rotations per loop); optionally grades the result
+/// against (or replaces it with) the exact modulo scheduler. \returns the
+/// total number of rotations kept. Loop discovery, liveness and alias
+/// queries all go through the shared analysis cache \p FA.
 unsigned pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                const Module &M,
-                                const PipelineLoopOptions &Opts,
-                                FunctionAnalyses &FA);
-unsigned pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                const Module &M, unsigned MaxRotations = 8);
-unsigned pipelineInnermostLoops(Function &F, const MachineModel &MM,
-                                const Module &M, unsigned MaxRotations,
-                                FunctionAnalyses &FA, bool FlowAlias = true);
+                                const Module &M, FunctionAnalyses &FA,
+                                const PipelineLoopOptions &Opts = {});
 
 /// One VLIW instruction word: the block-relative indices of the operations
 /// the machine model issues in the same cycle. This is the paper's framing

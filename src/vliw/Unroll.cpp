@@ -100,9 +100,8 @@ bool vsc::unrollLoop(Function &F, const Loop &L, unsigned Factor) {
   return true;
 }
 
-unsigned vsc::unrollInnermostLoops(Function &F, unsigned Factor,
-                                   size_t MaxBodyInstrs,
-                                   FunctionAnalyses &FA) {
+unsigned vsc::unrollInnermostLoops(Function &F, FunctionAnalyses &FA,
+                                   unsigned Factor, size_t MaxBodyInstrs) {
   unsigned NumUnrolled = 0;
   // Loops are re-discovered after each unroll (the CFG changed); headers
   // already processed are remembered so a freshly unrolled loop is not
@@ -130,10 +129,4 @@ unsigned vsc::unrollInnermostLoops(Function &F, unsigned Factor,
       break;
   }
   return NumUnrolled;
-}
-
-unsigned vsc::unrollInnermostLoops(Function &F, unsigned Factor,
-                                   size_t MaxBodyInstrs) {
-  FunctionAnalyses FA(F);
-  return unrollInnermostLoops(F, Factor, MaxBodyInstrs, FA);
 }

@@ -29,10 +29,8 @@ bool unrollLoop(Function &F, const Loop &L, unsigned Factor);
 
 /// Unrolls every innermost loop of \p F whose body has at most
 /// \p MaxBodyInstrs instructions by \p Factor. \returns number unrolled.
-unsigned unrollInnermostLoops(Function &F, unsigned Factor,
-                              size_t MaxBodyInstrs = 64);
-unsigned unrollInnermostLoops(Function &F, unsigned Factor,
-                              size_t MaxBodyInstrs, FunctionAnalyses &FA);
+unsigned unrollInnermostLoops(Function &F, FunctionAnalyses &FA,
+                              unsigned Factor, size_t MaxBodyInstrs = 64);
 
 } // namespace vsc
 

@@ -172,8 +172,3 @@ bool vsc::unspeculate(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
   straighten(F);
   return Any;
 }
-
-bool vsc::unspeculate(Function &F) {
-  FunctionAnalyses FA(F);
-  return unspeculate(F, FA);
-}

@@ -43,7 +43,6 @@ namespace vsc {
 /// Runs unspeculation on \p F. \returns true if anything moved.
 /// \p FlowAlias selects the flow-sensitive disambiguation tier for the
 /// "may store to the loaded location" legality check.
-bool unspeculate(Function &F);
 bool unspeculate(Function &F, FunctionAnalyses &FA, bool FlowAlias = true);
 
 /// Step 1 only: physically reorder the blocks in reverse postorder,

@@ -49,7 +49,9 @@ TEST(BlockExpansion, RemovesUncondBranchStall) {
   EXPECT_GT(RB.BranchStallCycles, 2500u) << "the stall must exist first";
 
   auto After = transformPreservesBehaviour(StallLoop, [](Module &Mod) {
-    expandBasicBlocks(*Mod.findFunction("main"), rs6000());
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    expandBasicBlocks(F, rs6000(), FA);
   });
   ASSERT_TRUE(After);
   RunResult RA = simulate(*After, rs6000());
@@ -83,7 +85,9 @@ exit:
   auto M = parseModule(Separated, &Err);
   ASSERT_TRUE(M) << Err;
   size_t Before = M->instrCount();
-  expandBasicBlocks(*M->findFunction("main"), rs6000());
+  Function &F = *M->findFunction("main");
+  FunctionAnalyses FA(F);
+  expandBasicBlocks(F, rs6000(), FA);
   // Straightening may simplify, but no code may be *added*.
   EXPECT_LE(M->instrCount(), Before);
 }
@@ -121,7 +125,9 @@ big:
     auto M = transformPreservesBehaviour(
         Text,
         [](Module &Mod) {
-          expandBasicBlocks(*Mod.findFunction("main"), rs6000());
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          expandBasicBlocks(F, rs6000(), FA);
         },
         Opts);
     ASSERT_TRUE(M);
@@ -166,7 +172,9 @@ big:
     auto M = transformPreservesBehaviour(
         Text,
         [](Module &Mod) {
-          expandBasicBlocks(*Mod.findFunction("main"), rs6000());
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          expandBasicBlocks(F, rs6000(), FA);
         },
         Opts);
     ASSERT_TRUE(M);
@@ -178,9 +186,9 @@ TEST(BlockExpansion, WindowBoundsCodeGrowth) {
     std::string Err;
     auto M = parseModule(StallLoop, &Err);
     EXPECT_TRUE(M) << Err;
-    ExpansionOptions Opts;
-    Opts.Window = Window;
-    expandBasicBlocks(*M->findFunction("main"), rs6000(), Opts);
+    Function &F = *M->findFunction("main");
+    FunctionAnalyses FA(F);
+    expandBasicBlocks(F, rs6000(), FA, Window);
     return M->instrCount();
   };
   std::string Err;

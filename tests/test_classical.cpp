@@ -20,8 +20,10 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         copyPropagate(*Mod.findFunction("main"));
-                                         deadCodeElim(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         copyPropagate(F);
+                                         deadCodeElim(F, FA);
                                        });
   ASSERT_TRUE(M);
   // The chain collapses; only the physical argument setup copy (LR r3)
@@ -42,8 +44,10 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         copyPropagate(*Mod.findFunction("main"));
-                                         deadCodeElim(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         copyPropagate(F);
+                                         deadCodeElim(F, FA);
                                        });
   ASSERT_TRUE(M);
 }
@@ -156,7 +160,9 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         deadCodeElim(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         deadCodeElim(F, FA);
                                        });
   ASSERT_TRUE(M);
   // The whole r32/r33/r34 chain dies.
@@ -176,7 +182,9 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         deadCodeElim(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         deadCodeElim(F, FA);
                                        });
   ASSERT_TRUE(M);
   EXPECT_EQ(countOps(*M->findFunction("main"), Opcode::ST), 1u);
@@ -202,7 +210,9 @@ exit:
 }
 )",
                                        [](Module &Mod) {
-                                         classicalLicm(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         classicalLicm(F, FA);
                                        });
   ASSERT_TRUE(M);
   // "AI r34 = r33, 5" must leave the loop body.
@@ -241,7 +251,9 @@ exit:
 }
 )",
                                        [](Module &Mod) {
-                                         classicalLicm(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         classicalLicm(F, FA);
                                        });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -280,7 +292,9 @@ exit:
 }
 )",
                                        [](Module &Mod) {
-                                         classicalLicm(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         classicalLicm(F, FA);
                                        });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -316,7 +330,9 @@ exit:
   auto Before = parseOrDie(Text);
   size_t SizeBefore = Before->instrCount();
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    runClassicalPipeline(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    runClassicalPipeline(F, FA);
   });
   ASSERT_TRUE(M);
   EXPECT_LT(M->instrCount(), SizeBefore);
@@ -346,7 +362,9 @@ exit:
   auto Before = parseOrDie(Text);
   RunResult RB = simulate(*Before, rs6000());
   auto After = parseOrDie(Text);
-  runClassicalPipeline(*After);
+  Function &F = *After->findFunction("main");
+  FunctionAnalyses FA(F);
+  runClassicalPipeline(F, FA);
   RunResult RA = simulate(*After, rs6000());
   EXPECT_EQ(RB.fingerprint(), RA.fingerprint());
   EXPECT_LT(RA.Cycles, RB.Cycles);

@@ -24,7 +24,9 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         limitedCombine(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         limitedCombine(F, FA);
                                        });
   ASSERT_TRUE(M);
   // Combining + coalescing collapse every copy; the immediate folds into
@@ -50,7 +52,9 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         limitedCombine(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         limitedCombine(F, FA);
                                        });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -79,7 +83,9 @@ mid:
 }
 )",
                                        [](Module &Mod) {
-                                         limitedCombine(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         limitedCombine(F, FA);
                                        });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -116,7 +122,11 @@ join:
     Opts.Args = {A};
     auto M = transformPreservesBehaviour(
         Text,
-        [](Module &Mod) { limitedCombine(*Mod.findFunction("main")); },
+        [](Module &Mod) {
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          limitedCombine(F, FA);
+        },
         Opts);
     ASSERT_TRUE(M);
   }
@@ -124,7 +134,11 @@ join:
   std::string Err;
   auto M = parseModule(Text, &Err);
   ASSERT_TRUE(M) << Err;
-  limitedCombine(*M->findFunction("main"));
+  {
+    Function &Main = *M->findFunction("main");
+    FunctionAnalyses FA(Main);
+    limitedCombine(Main, FA);
+  }
   const Function *F = M->findFunction("main");
   const BasicBlock *Fast = F->findBlock("fast");
   ASSERT_TRUE(Fast);
@@ -145,7 +159,9 @@ entry:
 }
 )",
                                        [](Module &Mod) {
-                                         limitedCombine(*Mod.findFunction("main"));
+                                         Function &F = *Mod.findFunction("main");
+                                         FunctionAnalyses FA(F);
+                                         limitedCombine(F, FA);
                                        });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -179,7 +195,11 @@ a:
     Opts.Args = {A};
     auto M = transformPreservesBehaviour(
         Text,
-        [](Module &Mod) { limitedCombine(*Mod.findFunction("main")); },
+        [](Module &Mod) {
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          limitedCombine(F, FA);
+        },
         Opts);
     ASSERT_TRUE(M);
   }
@@ -212,9 +232,10 @@ exit:
 
   auto After = parseOrDie(Text);
   Function &F = *After->findFunction("main");
-  speculativeLoadStoreMotion(F, *After);
-  limitedCombine(F);
-  deadCodeElim(F);
+  FunctionAnalyses FA(F);
+  speculativeLoadStoreMotion(F, *After, FA);
+  limitedCombine(F, FA);
+  deadCodeElim(F, FA);
   ASSERT_EQ(verifyModule(*After), "");
   RunResult RA = simulate(*After, rs6000());
   EXPECT_EQ(RB.fingerprint(), RA.fingerprint());

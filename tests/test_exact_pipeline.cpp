@@ -364,7 +364,7 @@ exit:
     PipelineLoopOptions PO;
     PO.Exact = ExactPipelineMode::Apply;
     PO.Records = &Records;
-    pipelineInnermostLoops(F, rs6000(), Mod, PO, FA);
+    pipelineInnermostLoops(F, rs6000(), Mod, FA, PO);
     straighten(F);
   });
   ASSERT_TRUE(M);
@@ -396,7 +396,7 @@ exit:
     PipelineLoopOptions PO;
     PO.Exact = ExactPipelineMode::Grade;
     PO.Records = &Records;
-    unsigned Kept = pipelineInnermostLoops(F, rs6000(), Mod, PO, FA);
+    unsigned Kept = pipelineInnermostLoops(F, rs6000(), Mod, FA, PO);
     EXPECT_EQ(Kept, 0u);
   });
   ASSERT_TRUE(M);
@@ -414,7 +414,7 @@ TEST(ExactEdge, RecurrenceBoundLoopGradesAboveResourceBound) {
     PipelineLoopOptions PO;
     PO.Exact = ExactPipelineMode::Grade;
     PO.Records = &Records;
-    pipelineInnermostLoops(F, rs6000(), Mod, PO, FA);
+    pipelineInnermostLoops(F, rs6000(), Mod, FA, PO);
     straighten(F);
   });
   ASSERT_TRUE(M);

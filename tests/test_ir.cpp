@@ -229,6 +229,20 @@ TEST(Parser, ReportsErrors) {
 
   EXPECT_EQ(parseModule("func f(0) {\n  LI r1 = 0\n", &Err), nullptr);
   EXPECT_NE(Err.find("unterminated"), std::string::npos) << Err;
+
+  // A register number is decimal digits only, below Reg::IdLimit.
+  for (const char *Bad :
+       {"  LI r3000000000 = 6", "  LI r99999999999 = 6", "  LI r1073741824 = 6",
+        "  LI r32x = 6", "  BT done, crfoo.eq"}) {
+    std::string Text =
+        std::string("func f(0) {\nentry:\n") + Bad + "\ndone:\n  RET\n}\n";
+    EXPECT_EQ(parseModule(Text, &Err), nullptr) << Bad;
+    EXPECT_NE(Err.find("line 3: "), std::string::npos) << Bad << ": " << Err;
+  }
+  EXPECT_NE(parseModule("func f(0) {\nentry:\n  LI r1073741823 = 6\n  RET\n}\n",
+                        &Err),
+            nullptr)
+      << Err;
 }
 
 TEST(Parser, PreservesAnnotations) {

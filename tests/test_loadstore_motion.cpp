@@ -62,7 +62,9 @@ bool loopTouchesMemory(const Function &F,
 
 TEST(LoadStoreMotion, PaperExampleCachesTheGlobal) {
   auto M = transformPreservesBehaviour(PaperExample, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
   });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -74,7 +76,9 @@ TEST(LoadStoreMotion, ExitStoreWritesFinalValue) {
   // Behaviour preservation (checked by the oracle) plus: the printed value
   // is the number of loop iterations where the store executed.
   auto M = transformPreservesBehaviour(PaperExample, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
   });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -85,8 +89,10 @@ TEST(LoadStoreMotion, CleanupShrinksLoopBody) {
   // After motion + classical cleanup the paper expects a lone AI on the
   // register-cached copy inside the loop.
   auto M = transformPreservesBehaviour(PaperExample, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
-    runClassicalPipeline(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
+    runClassicalPipeline(F, FA);
   });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -113,7 +119,9 @@ exit:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
   });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -143,7 +151,9 @@ exit:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
   });
   ASSERT_TRUE(M);
   EXPECT_TRUE(loopTouchesMemory(*M->findFunction("main"), {"loop"}));
@@ -173,8 +183,10 @@ exit:
   std::string Err;
   auto M = parseModule(Text, &Err);
   ASSERT_TRUE(M) << Err;
-  speculativeLoadStoreMotion(*M);
-  EXPECT_TRUE(loopTouchesMemory(*M->findFunction("main"), {"loop"}));
+  Function &F = *M->findFunction("main");
+  FunctionAnalyses FA(F);
+  speculativeLoadStoreMotion(F, *M, FA);
+  EXPECT_TRUE(loopTouchesMemory(F, {"loop"}));
 }
 
 TEST(LoadStoreMotion, AllowsDisjointAnnotatedStores) {
@@ -201,7 +213,9 @@ exit:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    speculativeLoadStoreMotion(Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    speculativeLoadStoreMotion(F, Mod, FA);
   });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
@@ -247,16 +261,20 @@ exit:
   std::string Err;
   auto M = parseModule(Text, &Err);
   ASSERT_TRUE(M) << Err;
-  speculativeLoadStoreMotion(*M);
-  EXPECT_TRUE(loopTouchesMemory(*M->findFunction("main"), {"body"}));
+  Function &F = *M->findFunction("main");
+  FunctionAnalyses FA(F);
+  speculativeLoadStoreMotion(F, *M, FA);
+  EXPECT_TRUE(loopTouchesMemory(F, {"body"}));
 }
 
 TEST(LoadStoreMotion, PathlengthAndCyclesImprove) {
   auto Before = parseOrDie(PaperExample);
   RunResult RB = simulate(*Before, rs6000());
   auto After = parseOrDie(PaperExample);
-  speculativeLoadStoreMotion(*After);
-  runClassicalPipeline(*After);
+  Function &F = *After->findFunction("main");
+  FunctionAnalyses FA(F);
+  speculativeLoadStoreMotion(F, *After, FA);
+  runClassicalPipeline(F, FA);
   RunResult RA = simulate(*After, rs6000());
   EXPECT_EQ(RB.fingerprint(), RA.fingerprint());
   EXPECT_LT(RA.DynInstrs, RB.DynInstrs) << "pathlength must drop";

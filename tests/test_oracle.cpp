@@ -62,9 +62,10 @@ std::unique_ptr<Module> compileSeed(uint64_t Seed) {
 /// unroll+rename stage does.
 void unrollAndRename(Module &M) {
   Function &F = *M.findFunction("main");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  EXPECT_GE(renameInnermostLoops(F), 1u);
+  EXPECT_GE(renameInnermostLoops(F, FA), 1u);
 }
 
 /// The deliberate miscompilation of the acceptance criterion: drop the

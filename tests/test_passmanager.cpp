@@ -3,8 +3,9 @@
 /// Coverage for the pm/ layer: analysis caching and hit accounting, the
 /// CFG-epoch self-invalidation, PreservedAnalyses dependency closure, the
 /// recompute-and-compare checker catching a pass that lies about
-/// preservation (and staying silent for honest ones), and equivalence of
-/// the pass-manager pipeline with the legacy free-function entry points.
+/// preservation (and staying silent for honest ones), equivalence of the
+/// pass-manager pipeline with direct calls of the passes, and the options
+/// fingerprint the compile service keys on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,9 +13,12 @@
 #include "opt/Classical.h"
 #include "pm/PassManager.h"
 #include "pm/Passes.h"
+#include "profile/ProfileData.h"
 #include "vliw/Pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace vsc;
 
@@ -397,9 +401,89 @@ TEST(PassManager, MatchesLegacyFreeFunctions) {
     FunctionAnalyses FA(F);
     ASSERT_EQ(FPM.run(F, *A, FA), "");
   }
-  // Legacy free-function route.
-  runClassicalPipeline(*B->findFunction("main"));
+  // Direct call.
+  {
+    Function &F = *B->findFunction("main");
+    FunctionAnalyses FA(F);
+    runClassicalPipeline(F, FA);
+  }
   EXPECT_EQ(printModule(*A), printModule(*B));
+}
+
+// The compile service keys its cached compiles on optionsFingerprint, so
+// every option that can change the optimized bytes must move it, each to a
+// value of its own.
+TEST(PipelineOptions, FingerprintSeesEveryByteChangingOption) {
+  ProfileData Profile;
+  std::vector<RunOptions> Battery;
+  std::vector<std::pair<std::string, PipelineOptions>> Variants = {
+      {"defaults", PipelineOptions()}};
+  auto Vary = [&Variants](std::string Name, auto Edit) {
+    PipelineOptions O;
+    Edit(O);
+    Variants.emplace_back(std::move(Name), O);
+  };
+  const std::pair<const char *, bool PipelineOptions::*> Toggles[] = {
+      {"Inlining", &PipelineOptions::Inlining},
+      {"LoadStoreMotion", &PipelineOptions::LoadStoreMotion},
+      {"Unspeculation", &PipelineOptions::Unspeculation},
+      {"UnrollAndRename", &PipelineOptions::UnrollAndRename},
+      {"Pipelining", &PipelineOptions::Pipelining},
+      {"GlobalScheduling", &PipelineOptions::GlobalScheduling},
+      {"Combining", &PipelineOptions::Combining},
+      {"BlockExpansion", &PipelineOptions::BlockExpansion},
+      {"TailorProlog", &PipelineOptions::TailorProlog},
+      {"InsertPrologs", &PipelineOptions::InsertPrologs},
+      {"AllocateRegisters", &PipelineOptions::AllocateRegisters},
+      {"Superblocks", &PipelineOptions::Superblocks},
+      {"FlowSensitiveAlias", &PipelineOptions::FlowSensitiveAlias}};
+  for (const auto &[Name, Toggle] : Toggles)
+    Vary(Name, [Toggle = Toggle](PipelineOptions &O) {
+      O.*Toggle = !(O.*Toggle);
+    });
+  Vary("power2", [](PipelineOptions &O) { O.Machine = power2(); });
+  Vary("ppc601", [](PipelineOptions &O) { O.Machine = ppc601(); });
+  Vary("PageZeroReadable", [](PipelineOptions &O) {
+    O.Machine.PageZeroReadable = !O.Machine.PageZeroReadable;
+  });
+  Vary("Grade", [](PipelineOptions &O) {
+    O.ExactPipelining = ExactPipelineMode::Grade;
+  });
+  Vary("Apply", [](PipelineOptions &O) {
+    O.ExactPipelining = ExactPipelineMode::Apply;
+  });
+  Vary("NodeBudget",
+       [](PipelineOptions &O) { ++O.ExactPipeline.NodeBudget; });
+  Vary("MaxStages", [](PipelineOptions &O) { ++O.ExactPipeline.MaxStages; });
+  Vary("MaxBodyInstrs",
+       [](PipelineOptions &O) { ++O.ExactPipeline.MaxBodyInstrs; });
+  Vary("MaxII", [](PipelineOptions &O) { ++O.ExactPipeline.MaxII; });
+  Vary("Profile", [&Profile](PipelineOptions &O) { O.Profile = &Profile; });
+  Vary("TrainBattery",
+       [&Battery](PipelineOptions &O) { O.TrainBattery = &Battery; });
+
+  std::map<uint64_t, std::string> Seen;
+  for (const auto &[Name, O] : Variants)
+    for (OptLevel L : {OptLevel::None, OptLevel::Classical, OptLevel::Vliw}) {
+      std::string Key = Name + " at " + optLevelName(L);
+      auto [It, Fresh] = Seen.emplace(optionsFingerprint(L, O), Key);
+      EXPECT_TRUE(Fresh) << Key << " collides with " << It->second;
+    }
+}
+
+// Options that only observe or schedule the work leave the bytes alone, so
+// they must not split the service's cache.
+TEST(PipelineOptions, FingerprintIgnoresObservers) {
+  const uint64_t Base = optionsFingerprint(OptLevel::Vliw, PipelineOptions());
+  PipelineStats Stats;
+  PipelineOptions O;
+  O.Threads = 4;
+  O.Stats = &Stats;
+  O.Verify = false;
+  O.Audit = AuditLevel::Full;
+  O.Oracle = OracleLevel::Full;
+  O.AliasAudit = true;
+  EXPECT_EQ(optionsFingerprint(OptLevel::Vliw, O), Base);
 }
 
 TEST(PassManager, OptimizeIsByteIdenticalAcrossThreadCounts) {

@@ -90,7 +90,9 @@ TEST(PrologTailor, CalleeMustPreserveCalleeSavedRegs) {
   EXPECT_NE(R.Output, "300\n10\n") << "clobbering should be observable";
 
   // With classic prologs the caller's registers survive.
-  insertPrologEpilog(*M->findFunction("sub"), /*Tailored=*/false);
+  Function &Sub = *M->findFunction("sub");
+  FunctionAnalyses FA(Sub);
+  insertPrologEpilog(Sub, FA, /*Tailored=*/false);
   ASSERT_EQ(verifyModule(*M), "");
   RunResult R2 = simulate(*M, rs6000(), Opts);
   EXPECT_FALSE(R2.Trapped) << R2.TrapMsg;
@@ -102,7 +104,8 @@ TEST(PrologTailor, UntailoredSavesEverythingAtEntry) {
   auto M = parseModule(PaperProc, &Err);
   ASSERT_TRUE(M) << Err;
   Function &Sub = *M->findFunction("sub");
-  unsigned N = insertPrologEpilog(Sub, /*Tailored=*/false);
+  FunctionAnalyses FA(Sub);
+  unsigned N = insertPrologEpilog(Sub, FA, /*Tailored=*/false);
   EXPECT_EQ(N, 4u); // r28, r29, r30, r31
   EXPECT_EQ(countSaves(Sub, "entry"), 4u) << printFunction(Sub);
   EXPECT_EQ(verifyUnwindInvariant(Sub), "");
@@ -113,7 +116,8 @@ TEST(PrologTailor, TailoredSavesPerPath) {
   auto M = parseModule(PaperProc, &Err);
   ASSERT_TRUE(M) << Err;
   Function &Sub = *M->findFunction("sub");
-  unsigned N = insertPrologEpilog(Sub, /*Tailored=*/true);
+  FunctionAnalyses FA(Sub);
+  unsigned N = insertPrologEpilog(Sub, FA, /*Tailored=*/true);
   EXPECT_EQ(N, 4u);
   // Nothing is saved at the entry any more; saves sit on the branch sides.
   EXPECT_EQ(countSaves(Sub, "entry"), 0u) << printFunction(Sub);
@@ -128,11 +132,15 @@ TEST(PrologTailor, TailoredBehaviourMatchesUntailored) {
       RunOptions Opts;
       Opts.Args = {A, B};
       auto Untailored = parseOrDie(PaperProc);
-      for (auto &F : Untailored->functions())
-        insertPrologEpilog(*F, false);
+      for (auto &F : Untailored->functions()) {
+        FunctionAnalyses FA(*F);
+        insertPrologEpilog(*F, FA, false);
+      }
       auto Tailored = parseOrDie(PaperProc);
-      for (auto &F : Tailored->functions())
-        insertPrologEpilog(*F, true);
+      for (auto &F : Tailored->functions()) {
+        FunctionAnalyses FA(*F);
+        insertPrologEpilog(*F, FA, true);
+      }
       ASSERT_EQ(verifyModule(*Tailored), "");
       RunResult RU = simulate(*Untailored, rs6000(), Opts);
       RunResult RT = simulate(*Tailored, rs6000(), Opts);
@@ -147,11 +155,15 @@ TEST(PrologTailor, TailoredReducesDynamicSaves) {
   RunOptions Opts;
   Opts.Args = {0, 0}; // takes L1, skips killr30
   auto Untailored = parseOrDie(PaperProc);
-  for (auto &F : Untailored->functions())
-    insertPrologEpilog(*F, false);
+  for (auto &F : Untailored->functions()) {
+    FunctionAnalyses FA(*F);
+    insertPrologEpilog(*F, FA, false);
+  }
   auto Tailored = parseOrDie(PaperProc);
-  for (auto &F : Tailored->functions())
-    insertPrologEpilog(*F, true);
+  for (auto &F : Tailored->functions()) {
+    FunctionAnalyses FA(*F);
+    insertPrologEpilog(*F, FA, true);
+  }
   RunResult RU = simulate(*Untailored, rs6000(), Opts);
   RunResult RT = simulate(*Tailored, rs6000(), Opts);
   EXPECT_EQ(RU.fingerprint(), RT.fingerprint());
@@ -187,7 +199,8 @@ entry:
   auto M = parseModule(LoopKill, &Err);
   ASSERT_TRUE(M) << Err;
   Function &F = *M->findFunction("f");
-  insertPrologEpilog(F, /*Tailored=*/true);
+  FunctionAnalyses FA(F);
+  insertPrologEpilog(F, FA, /*Tailored=*/true);
   EXPECT_EQ(verifyUnwindInvariant(F), "") << printFunction(F);
   EXPECT_EQ(countSaves(F, "loop"), 0u) << printFunction(F);
   EXPECT_EQ(totalSaves(F), 1u);
@@ -223,9 +236,11 @@ entry:
   std::string Err;
   auto M = parseModule(Framed, &Err);
   ASSERT_TRUE(M) << Err;
-  insertPrologEpilog(*M->findFunction("f"), /*Tailored=*/true);
+  Function &F = *M->findFunction("f");
+  FunctionAnalyses FA(F);
+  insertPrologEpilog(F, FA, /*Tailored=*/true);
   ASSERT_EQ(verifyModule(*M), "");
-  EXPECT_EQ(verifyUnwindInvariant(*M->findFunction("f")), "");
+  EXPECT_EQ(verifyUnwindInvariant(F), "");
   RunResult R = simulate(*M, rs6000());
   EXPECT_FALSE(R.Trapped) << R.TrapMsg;
   EXPECT_EQ(R.Output, "14\n1000\n");
@@ -262,7 +277,9 @@ entry:
   std::string Err;
   auto M = parseModule(Rec, &Err);
   ASSERT_TRUE(M) << Err;
-  insertPrologEpilog(*M->findFunction("fact"), /*Tailored=*/true);
+  Function &Fact = *M->findFunction("fact");
+  FunctionAnalyses FA(Fact);
+  insertPrologEpilog(Fact, FA, /*Tailored=*/true);
   ASSERT_EQ(verifyModule(*M), "");
   RunResult R = simulate(*M, rs6000());
   EXPECT_FALSE(R.Trapped) << R.TrapMsg;

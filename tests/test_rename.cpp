@@ -112,9 +112,10 @@ TEST(Rename, UnrolledLoopGetsRenamedWithExitCopies) {
         CountedLoop,
         [](Module &Mod) {
           Function &F = *Mod.findFunction("main");
-          unrollInnermostLoops(F, 2);
+          FunctionAnalyses FA(F);
+          unrollInnermostLoops(F, FA, 2);
           straighten(F);
-          EXPECT_GE(renameInnermostLoops(F), 1u);
+          EXPECT_GE(renameInnermostLoops(F, FA), 1u);
         },
         Opts);
     ASSERT_TRUE(M);
@@ -137,9 +138,10 @@ TEST(Rename, JoinPointValuesCorrectOnEveryExitPath) {
   ASSERT_TRUE(M);
   auto Before = cloneFunction(*M->findFunction("main"));
   Function &F = *M->findFunction("main");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  ASSERT_GE(renameInnermostLoops(F), 1u);
+  ASSERT_GE(renameInnermostLoops(F, FA), 1u);
   ASSERT_EQ(verifyModule(*M), "") << printModule(*M);
   OracleOptions Opts;
   Opts.CompareStoreTrace = true;
@@ -174,9 +176,10 @@ exit:
   ASSERT_TRUE(M);
   auto Before = cloneFunction(*M->findFunction("main"));
   Function &F = *M->findFunction("main");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
+  renameInnermostLoops(F, FA);
   ASSERT_EQ(verifyModule(*M), "") << printModule(*M);
   OracleOptions Opts;
   Opts.CompareStoreTrace = true;
@@ -203,7 +206,8 @@ exit:
   ASSERT_TRUE(M);
   Function &F = *M->findFunction("main");
   std::string BeforeText = printFunction(F);
-  renameInnermostLoops(F);
+  FunctionAnalyses FA(F);
+  renameInnermostLoops(F, FA);
   ASSERT_EQ(verifyModule(*M), "") << printModule(*M);
   InterpResult R = interpret(*M);
   EXPECT_FALSE(R.Trapped) << R.TrapMsg;

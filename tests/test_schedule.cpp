@@ -44,26 +44,29 @@ double liCyclesPerIter(void (*Apply)(Module &)) {
 
 void applyGlobalSched(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  globalSchedule(F, rs6000(), M);
+  FunctionAnalyses FA(F);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 
 void applyUnrollRenameSched(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
-  globalSchedule(F, rs6000(), M);
+  renameInnermostLoops(F, FA);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 
 void applyFullPipelineSched(Module &M) {
   Function &F = *M.findFunction("xlygetvalue");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
-  pipelineInnermostLoops(F, rs6000(), M);
-  globalSchedule(F, rs6000(), M);
+  renameInnermostLoops(F, FA);
+  pipelineInnermostLoops(F, rs6000(), M, FA);
+  globalSchedule(F, rs6000(), M, FA);
   straighten(F);
 }
 
@@ -257,8 +260,10 @@ exit:
 )";
   for (unsigned Factor : {2u, 4u}) {
     auto M = transformPreservesBehaviour(Text, [Factor](Module &Mod) {
-      unrollInnermostLoops(*Mod.findFunction("main"), Factor);
-      straighten(*Mod.findFunction("main"));
+      Function &F = *Mod.findFunction("main");
+      FunctionAnalyses FA(F);
+      unrollInnermostLoops(F, FA, Factor);
+      straighten(F);
     });
     ASSERT_TRUE(M);
   }
@@ -284,8 +289,10 @@ exit:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    unrollInnermostLoops(*Mod.findFunction("main"), 2);
-    straighten(*Mod.findFunction("main"));
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unrollInnermostLoops(F, FA, 2);
+    straighten(F);
   });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -316,8 +323,10 @@ breakout:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    unrollInnermostLoops(*Mod.findFunction("main"), 3);
-    straighten(*Mod.findFunction("main"));
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unrollInnermostLoops(F, FA, 3);
+    straighten(F);
   });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -351,7 +360,8 @@ exit:
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
     Function &F = *Mod.findFunction("main");
-    renameInnermostLoops(F);
+    FunctionAnalyses FA(F);
+    renameInnermostLoops(F, FA);
   });
   ASSERT_TRUE(M);
   // The two defs of r40 must now use distinct registers.
@@ -396,7 +406,8 @@ hit:
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
     Function &F = *Mod.findFunction("main");
-    renameInnermostLoops(F);
+    FunctionAnalyses FA(F);
+    renameInnermostLoops(F, FA);
     straighten(F);
   });
   ASSERT_TRUE(M);
@@ -442,7 +453,8 @@ done:
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
     Function &F = *Mod.findFunction("main");
-    renameInnermostLoops(F);
+    FunctionAnalyses FA(F);
+    renameInnermostLoops(F, FA);
     straighten(F);
   });
   ASSERT_TRUE(M);
@@ -478,7 +490,9 @@ yes:
 }
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
-    globalSchedule(*Mod.findFunction("main"), rs6000(), Mod);
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    globalSchedule(F, rs6000(), Mod, FA);
   });
   ASSERT_TRUE(M);
   RunResult R = simulate(*M, rs6000());
@@ -518,7 +532,9 @@ isnull:
   std::string Err;
   auto M = parseModule(Text, &Err);
   ASSERT_TRUE(M) << Err;
-  globalSchedule(*M->findFunction("main"), Strict, *M);
+  Function &F = *M->findFunction("main");
+  FunctionAnalyses FA(F);
+  globalSchedule(F, Strict, *M, FA);
   RunResult R = simulate(*M, Strict, Opts);
   EXPECT_FALSE(R.Trapped) << "speculated unsafe load trapped: " << R.TrapMsg;
   EXPECT_EQ(R.Output, "-1\n");
@@ -548,7 +564,9 @@ other:
     auto M = transformPreservesBehaviour(
         Text,
         [](Module &Mod) {
-          globalSchedule(*Mod.findFunction("main"), rs6000(), Mod);
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          globalSchedule(F, rs6000(), Mod, FA);
         },
         Opts);
     ASSERT_TRUE(M);
@@ -642,9 +660,10 @@ exit:
   RunResult RB = simulate(*Before, rs6000());
   auto After = transformPreservesBehaviour(Text, [](Module &Mod) {
     Function &F = *Mod.findFunction("main");
-    renameInnermostLoops(F);
-    pipelineInnermostLoops(F, rs6000(), Mod);
-    globalSchedule(F, rs6000(), Mod);
+    FunctionAnalyses FA(F);
+    renameInnermostLoops(F, FA);
+    pipelineInnermostLoops(F, rs6000(), Mod, FA);
+    globalSchedule(F, rs6000(), Mod, FA);
     straighten(F);
   });
   ASSERT_TRUE(After);
@@ -673,7 +692,8 @@ exit:
 )";
   auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
     Function &F = *Mod.findFunction("main");
-    pipelineInnermostLoops(F, rs6000(), Mod);
+    FunctionAnalyses FA(F);
+    pipelineInnermostLoops(F, rs6000(), Mod, FA);
     straighten(F);
   });
   ASSERT_TRUE(M);

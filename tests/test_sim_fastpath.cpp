@@ -210,9 +210,9 @@ entry:
   }
 }
 
-/// simulateBatch reuses one decoded image and one memory arena across the
-/// whole batch. Interleave runs with different arguments, inputs and
-/// memory sizes and check each against an independent legacy run — any
+/// SimEngine::runBatch reuses one decoded image and one memory arena
+/// across the whole batch. Interleave runs with different arguments, inputs
+/// and memory sizes and check each against an independent legacy run — any
 /// state leaking between runs (memory, counters, register files) breaks
 /// the positional match.
 TEST(SimFastpath, BatchMatchesIndependentLegacyRuns) {
@@ -229,7 +229,8 @@ TEST(SimFastpath, BatchMatchesIndependentLegacyRuns) {
   Batch[2].MemBytes = 1u << 21; // a smaller arena mid-batch
   Batch[3].KeepMemory = true;
 
-  std::vector<RunResult> Fast = simulateBatch(*M, rs6000(), Batch);
+  std::vector<RunResult> Fast =
+      SimEngine(*M, rs6000()).runBatch(Batch, /*Threads=*/0);
   ASSERT_EQ(Fast.size(), Batch.size());
   for (size_t I = 0; I < Batch.size(); ++I) {
     RunResult L = simulateLegacy(*M, rs6000(), Batch[I]);

@@ -62,7 +62,9 @@ found:
 )";
 
 unsigned unrollMain(Module &M, unsigned Factor, size_t MaxBody = 64) {
-  return unrollInnermostLoops(*M.findFunction("main"), Factor, MaxBody);
+  Function &F = *M.findFunction("main");
+  FunctionAnalyses FA(F);
+  return unrollInnermostLoops(F, FA, Factor, MaxBody);
 }
 
 } // namespace
@@ -142,7 +144,8 @@ TEST(Unroll, RefusesOversizedBody) {
   Function &F = *M->findFunction("main");
   std::string BeforeText = printFunction(F);
   // The body has 3 instructions; a 2-instruction budget must refuse it.
-  EXPECT_EQ(unrollInnermostLoops(F, 2, /*MaxBodyInstrs=*/2), 0u);
+  FunctionAnalyses FA(F);
+  EXPECT_EQ(unrollInnermostLoops(F, FA, 2, /*MaxBodyInstrs=*/2), 0u);
   EXPECT_EQ(printFunction(F), BeforeText);
 }
 

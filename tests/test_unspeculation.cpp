@@ -46,7 +46,12 @@ TEST(Unspeculation, FlagExampleMovesToElseArm) {
     RunOptions Opts;
     Opts.Args = {Cond};
     auto M = transformPreservesBehaviour(
-        FlagExample, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); },
+        FlagExample,
+        [](Module &Mod) {
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          unspeculate(F, FA);
+        },
         Opts);
     ASSERT_TRUE(M);
     const Function *F = M->findFunction("main");
@@ -60,7 +65,9 @@ TEST(Unspeculation, FlagExamplePathlength) {
   // On the cond!=0 path the flag=1 instruction no longer executes.
   auto Before = parseOrDie(FlagExample);
   auto After = parseOrDie(FlagExample);
-  unspeculate(*After->findFunction("main"));
+  Function &F = *After->findFunction("main");
+  FunctionAnalyses FA(F);
+  unspeculate(F, FA);
   RunOptions Opts;
   Opts.Args = {1};
   RunResult RB = simulate(*Before, rs6000(), Opts);
@@ -93,7 +100,12 @@ use:
     RunOptions Opts;
     Opts.Args = {Cond};
     auto M = transformPreservesBehaviour(
-        Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); },
+        Text,
+        [](Module &Mod) {
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          unspeculate(F, FA);
+        },
         Opts);
     ASSERT_TRUE(M);
     const Function *F = M->findFunction("main");
@@ -119,8 +131,11 @@ left:
   RET
 }
 )";
-  auto M = transformPreservesBehaviour(
-      Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); });
+  auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
+  });
   ASSERT_TRUE(M);
   EXPECT_EQ(blockOps(*M->findFunction("main"), "entry", Opcode::AI), 1u);
 }
@@ -142,8 +157,11 @@ left:
   RET
 }
 )";
-  auto M = transformPreservesBehaviour(
-      Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); });
+  auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
+  });
   ASSERT_TRUE(M);
   // The compare between the AI and the branch reads r40: rule 2b.
   EXPECT_EQ(blockOps(*M->findFunction("main"), "entry", Opcode::AI), 1u);
@@ -170,8 +188,11 @@ exit:
   RET
 }
 )";
-  auto M = transformPreservesBehaviour(
-      Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); });
+  auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
+  });
   ASSERT_TRUE(M);
   const Function *F = M->findFunction("main");
   const BasicBlock *Loop = F->findBlock("loop");
@@ -206,8 +227,11 @@ exit:
   RET
 }
 )";
-  auto M = transformPreservesBehaviour(
-      Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); });
+  auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
+  });
   ASSERT_TRUE(M);
   const BasicBlock *Loop = M->findFunction("main")->findBlock("loop");
   ASSERT_TRUE(Loop);
@@ -242,7 +266,12 @@ b2:
         [](Module &Mod) { reorderReversePostorder(*Mod.findFunction("main")); },
         Opts);
     transformPreservesBehaviour(
-        Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); },
+        Text,
+        [](Module &Mod) {
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          unspeculate(F, FA);
+        },
         Opts);
   }
 }
@@ -266,8 +295,11 @@ use:
   RET
 }
 )";
-  auto M = transformPreservesBehaviour(
-      Text, [](Module &Mod) { unspeculate(*Mod.findFunction("main")); });
+  auto M = transformPreservesBehaviour(Text, [](Module &Mod) {
+    Function &F = *Mod.findFunction("main");
+    FunctionAnalyses FA(F);
+    unspeculate(F, FA);
+  });
   ASSERT_TRUE(M);
   EXPECT_EQ(blockOps(*M->findFunction("main"), "entry", Opcode::L), 1u);
 }

@@ -74,11 +74,12 @@ entry:
 TEST(VliwPacking, PipelinedLiLoopPacksTight) {
   auto M = buildLiSearch(32);
   Function &F = *M->findFunction("xlygetvalue");
-  unrollInnermostLoops(F, 2);
+  FunctionAnalyses FA(F);
+  unrollInnermostLoops(F, FA, 2);
   straighten(F);
-  renameInnermostLoops(F);
-  pipelineInnermostLoops(F, rs6000(), *M);
-  globalSchedule(F, rs6000(), *M);
+  renameInnermostLoops(F, FA);
+  pipelineInnermostLoops(F, rs6000(), *M, FA);
+  globalSchedule(F, rs6000(), *M, FA);
   straighten(F);
   // The scheduled loop should issue >1 op per word on average in its
   // biggest block.
@@ -126,7 +127,9 @@ join:
     auto M = transformPreservesBehaviour(
         Text,
         [](Module &Mod) {
-          globalSchedule(*Mod.findFunction("main"), rs6000(), Mod);
+          Function &F = *Mod.findFunction("main");
+          FunctionAnalyses FA(F);
+          globalSchedule(F, rs6000(), Mod, FA);
         },
         Opts);
     ASSERT_TRUE(M);
@@ -136,7 +139,8 @@ join:
   auto M = parseModule(Text, &Err);
   ASSERT_TRUE(M) << Err;
   Function &F = *M->findFunction("main");
-  globalSchedule(F, rs6000(), *M);
+  FunctionAnalyses FA(F);
+  globalSchedule(F, rs6000(), *M, FA);
   const BasicBlock *Join = F.findBlock("join");
   ASSERT_TRUE(Join);
   size_t LoadsInJoin = 0;
