@@ -44,13 +44,15 @@ run_config() {
   # on, every lazily fetched analysis is compared with a fresh recompute.
   # So do the suites of the passes that keep analyses across their own
   # edits (global scheduling verifies the cache after every hoist and
-  # re-runs every probe it skipped) and of the cache itself, at both
-  # thread counts.
+  # re-runs every probe it skipped; LICM and the pipeliner's rotations
+  # keep structure) and of the cache itself, at both thread counts. The
+  # fuzz suites also check every graded loop's min-II against the
+  # heuristic's and the exact search's II.
   for threads in 1 4; do
     echo "=== [$name] oracle+alias-audit fuzz + analysis checking, seed base $FUZZ_SEED, VSC_THREADS=$threads ==="
     VSC_FUZZ_SEED="$FUZZ_SEED" VSC_CHECK_ANALYSES=1 VSC_THREADS="$threads" \
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-      -R 'Fuzz|CompileGolden|GlobalSchedule|LocalSchedule|JoinHoist|Combining|Cfg|AnalysisCache|AnalysisChecker'
+      -R 'Fuzz|CompileGolden|GlobalSchedule|LocalSchedule|JoinHoist|Combining|Cfg|AnalysisCache|AnalysisChecker|Licm|LiPipeline|MinII|Exact'
   done
   # The flow-sensitive alias tier and its dynamic audit are the soundness
   # backbone of every disambiguation consumer; run their suites explicitly
@@ -63,15 +65,19 @@ run_config() {
       ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
       -R 'MemAlias|ValueTrack|AliasClaimLog|AliasAudit|CompileGolden'
   done
-  # Exact software pipelining: the min-II analysis, the branch-and-bound
+  # Exact software pipelining: the one dependence graph against its
+  # all-pairs reference, the min-II analysis, the branch-and-bound
   # scheduler's verdicts, and the Grade/Apply wiring (Apply through the
-  # full audited pipeline, thread-invariant). The fuzz run above already
-  # grades every fuzzed loop — auditedOptions() carries
-  # ExactPipelining=Grade — so arbitrary generated shapes go through the
-  # min-II model under the recompute-and-compare analysis checker too.
-  echo "=== [$name] exact pipelining suites ==="
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
-    -R 'MinII|ExactPipeliner|ExactGrade|ExactApply|ExactEdge'
+  # full audited pipeline, thread-invariant), under the analysis checker
+  # at both thread counts. The fuzz run above already grades every fuzzed
+  # loop — auditedOptions() carries ExactPipelining=Grade — so arbitrary
+  # generated shapes go through the min-II model too.
+  for threads in 1 4; do
+    echo "=== [$name] exact pipelining suites + analysis checking, VSC_THREADS=$threads ==="
+    VSC_CHECK_ANALYSES=1 VSC_THREADS="$threads" \
+      ctest --test-dir "$dir" --output-on-failure -j "$JOBS" \
+      -R 'DepGraph|MinII|ExactPipeliner|ExactGrade|ExactApply|ExactEdge'
+  done
   # The predecoded simulator must stay byte-identical to the legacy
   # interpreter, and the scheduler's cycle estimate must equal both
   # simulators' cycles on random single blocks, which share the issue

@@ -12,8 +12,8 @@
 /// time. The flow-sensitive tier (analysis/ValueTrack.h) tracks abstract
 /// base values through registers and falls back to this one; both answer
 /// through the same AliasResult / AliasScope vocabulary. The header also
-/// holds the memory and call ordering rule the dependence builders share,
-/// which asks either tier.
+/// holds the memory and call ordering rule that the dependence-graph
+/// builder and global hoisting share, which asks either tier.
 ///
 /// Stack discipline: this project's front end never materialises a frame
 /// address that escapes the function (no "&local" passed or stored), so
@@ -115,24 +115,9 @@ class AliasAnalysis;
 /// read_int), which neither reads nor writes user memory.
 bool isMemoryInertCall(const Instr &I);
 
-/// The scope of an alias query between \p Earlier and \p Later, two
-/// instructions of one execution of a straight-line sequence:
-/// SameExecution, unless both access memory through one base register and
-/// \p RedefinedBetween(Base) reports an instruction strictly between them
-/// that redefines it.
-template <typename Fn>
-AliasScope straightLineScope(const Instr &Earlier, const Instr &Later,
-                             Fn &&RedefinedBetween) {
-  if (!Earlier.isMemAccess() || !Later.isMemAccess() ||
-      Earlier.memBase() != Later.memBase())
-    return AliasScope::SameExecution;
-  return RedefinedBetween(Earlier.memBase()) ? AliasScope::CrossExecution
-                                             : AliasScope::SameExecution;
-}
-
-/// The memory and call ordering rule of every dependence builder: the list
-/// scheduler and global hoisting (vliw/Schedule.cpp) and the min-II graph
-/// (pipelining/MinII.cpp). \returns true if \p Later must stay after
+/// The memory and call ordering rule of the dependence-graph builder
+/// (analysis/DepGraph.h) and of global hoisting's movable-to-top scan
+/// (vliw/Schedule.cpp). \returns true if \p Later must stay after
 /// \p Earlier because both are calls (I/O order, opaque side effects), one
 /// is a call that may touch memory and the other a memory access, both are
 /// volatile accesses, or one of two accesses is a store and they may alias

@@ -473,9 +473,9 @@ bool vsc::classicalLicm(Function &F, FunctionAnalyses &FA, bool FlowAlias) {
       AA = &FA.aliasAnalysis();
     for (Loop *L : Innermost) {
       if (licmOnLoop(F, *L, G, Dom, AA)) {
-        // Hoisting moved instructions (and may have made a preheader);
-        // drop everything and recompute on the next round.
-        FA.invalidateAll();
+        // Hoisting moves non-terminators into a preheader: structure
+        // survives (DESIGN.md §9), and a new preheader bumps the epoch.
+        FA.invalidate(PreservedAnalyses::structure());
         Changed = true;
         Any = true;
         break;

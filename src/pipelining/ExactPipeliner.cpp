@@ -39,7 +39,7 @@ namespace {
 /// reservation table as the resource filter.
 class ModuloSearch {
 public:
-  ModuloSearch(const std::vector<Instr> &Body, const LoopDepGraph &G,
+  ModuloSearch(const std::vector<Instr> &Body, const DepGraph &G,
                const MachineModel &MM, unsigned II, unsigned Span,
                uint64_t Budget, uint64_t &Nodes)
       : Body(Body), MM(MM), II(II), Span(Span), Budget(Budget),
@@ -49,7 +49,7 @@ public:
     Placed.assign(N, false);
     Out.assign(N, {});
     In.assign(N, {});
-    for (const LoopDepEdge &E : G.Edges) {
+    for (const DepEdge &E : G.Edges) {
       if (E.From == E.To) {
         SelfEdges.push_back(E);
         continue;
@@ -61,7 +61,7 @@ public:
     // edges (critical producers first), index as the deterministic tie.
     std::vector<unsigned> Height(N, 0);
     for (unsigned I = N; I-- > 0;)
-      for (const LoopDepEdge &E : Out[I])
+      for (const DepEdge &E : Out[I])
         if (E.Dist == 0)
           Height[I] = std::max(Height[I], E.Lat + Height[E.To]);
     Order.resize(N);
@@ -81,7 +81,7 @@ public:
     Complete = true;
     // A self edge (dist >= 1) with Lat > II*Dist can never be satisfied;
     // proving that costs nothing, so the search stays complete.
-    for (const LoopDepEdge &E : SelfEdges)
+    for (const DepEdge &E : SelfEdges)
       if (static_cast<long long>(E.Lat) >
           static_cast<long long>(II) * E.Dist)
         return false;
@@ -96,11 +96,11 @@ private:
       return true;
     unsigned Op = Order[K];
     long long Lb = 0, Ub = static_cast<long long>(Span) - 1;
-    for (const LoopDepEdge &E : In[Op])
+    for (const DepEdge &E : In[Op])
       if (Placed[E.From])
         Lb = std::max(Lb, static_cast<long long>(Cycle[E.From]) + E.Lat -
                               static_cast<long long>(II) * E.Dist);
-    for (const LoopDepEdge &E : Out[Op])
+    for (const DepEdge &E : Out[Op])
       if (Placed[E.To])
         Ub = std::min(Ub, static_cast<long long>(Cycle[E.To]) - E.Lat +
                               static_cast<long long>(II) * E.Dist);
@@ -147,8 +147,8 @@ private:
   uint64_t &Nodes;
   std::vector<unsigned> Cycle;
   std::vector<bool> Placed;
-  std::vector<std::vector<LoopDepEdge>> Out, In;
-  std::vector<LoopDepEdge> SelfEdges;
+  std::vector<std::vector<DepEdge>> Out, In;
+  std::vector<DepEdge> SelfEdges;
   std::vector<unsigned> Order;
   std::vector<unsigned> FxuSlots, BuSlots;
 };
@@ -156,7 +156,7 @@ private:
 } // namespace
 
 ExactSchedule vsc::exactScheduleLoop(const std::vector<Instr> &Body,
-                                     const LoopDepGraph &G,
+                                     const DepGraph &G,
                                      const MachineModel &MM, unsigned MinII,
                                      unsigned MaxII,
                                      const ExactPipelinerOptions &Opts) {

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The search layer of the exact software-pipelining subsystem
-/// (DESIGN.md §16): a branch-and-bound modulo scheduler over the
-/// dependence graph pipelining/MinII.h builds.
+/// (DESIGN.md §16): a branch-and-bound modulo scheduler over the loop's
+/// dependence graph (analysis/DepGraph.h) its min-II record carries.
 ///
 /// For each candidate II starting at max(resMII, recMII), every body
 /// operation gets one decision variable — an absolute issue cycle in
@@ -96,7 +96,7 @@ struct ExactSchedule {
 /// dependence graph \p G. Branch operations occupy BU reservation slots
 /// but have no dependence edges (see pipelining/MinII.h).
 ExactSchedule exactScheduleLoop(const std::vector<Instr> &Body,
-                                const LoopDepGraph &G,
+                                const DepGraph &G,
                                 const MachineModel &MM, unsigned MinII,
                                 unsigned MaxII,
                                 const ExactPipelinerOptions &Opts);

@@ -2,8 +2,6 @@
 
 #include "pipelining/MinII.h"
 
-#include "analysis/MemAlias.h"
-#include "analysis/ValueTrack.h"
 #include "vliw/Rename.h"
 
 #include <algorithm>
@@ -13,74 +11,14 @@ using namespace vsc;
 
 namespace {
 
-/// Scope for an intra-iteration alias query between Body[I] and Body[J]
-/// (I < J), by the same-base rule every straight-line builder shares.
-AliasScope intraScope(const std::vector<Instr> &Body, size_t I, size_t J) {
-  std::vector<Reg> Defs;
-  return straightLineScope(Body[I], Body[J], [&](Reg B) {
-    for (size_t K = I + 1; K < J; ++K) {
-      Defs.clear();
-      Body[K].collectDefs(Defs);
-      if (std::find(Defs.begin(), Defs.end(), B) != Defs.end())
-        return true;
-    }
-    return false;
-  });
-}
-
-bool intersects(const std::vector<Reg> &A, const std::vector<Reg> &B) {
-  for (Reg R : A)
-    if (std::find(B.begin(), B.end(), R) != B.end())
-      return true;
-  return false;
-}
-
-/// Appends the dependence edge (if any) from Body[I] of iteration k to
-/// Body[J] of iteration k + Dist. Branches contribute no edges: the issue
-/// engine does not wait on branch operands, so including them would make
-/// the bound exceed what the engine can actually be held to.
-void addDepEdge(std::vector<LoopDepEdge> &Edges,
-                const std::vector<Instr> &Body, unsigned I, unsigned J,
-                unsigned Dist, AliasScope Scope, const MachineModel &MM,
-                const AliasAnalysis *AA) {
-  const Instr &E = Body[I];
-  const Instr &L = Body[J];
-  if (E.isBranch() || L.isBranch())
-    return;
-  std::vector<Reg> EDefs, EUses, LDefs, LUses;
-  E.collectDefs(EDefs);
-  E.collectUses(EUses);
-  L.collectDefs(LDefs);
-  L.collectUses(LUses);
-
-  // Flow: the latest ready time among the defs L reads applies.
-  unsigned FlowLat = 0;
-  bool Flow = false;
-  for (Reg D : EDefs)
-    if (std::find(LUses.begin(), LUses.end(), D) != LUses.end()) {
-      FlowLat = std::max(FlowLat, MM.defLatency(E, D));
-      Flow = true;
-    }
-  if (Flow) {
-    Edges.push_back({I, J, FlowLat, Dist});
-    return;
-  }
-  // Anti/output/ordering edges carry latency 0: the engine issues in
-  // program order with no cross-operation memory delay, so order (not
-  // time) is the only constraint they impose.
-  if (intersects(EUses, LDefs) || intersects(EDefs, LDefs) ||
-      memoryOrdered(E, L, Scope, AA))
-    Edges.push_back({I, J, 0, Dist});
-}
-
 /// True if \p G has a cycle of positive total weight under
 /// w(e) = Lat - II*Dist (Bellman-Ford: still relaxing after NumOps full
 /// passes means a positive cycle exists).
-bool hasPositiveCycle(const LoopDepGraph &G, long long II) {
+bool hasPositiveCycle(const DepGraph &G, long long II) {
   std::vector<long long> D(G.NumOps, 0);
   for (unsigned Pass = 0; Pass <= G.NumOps; ++Pass) {
     bool Changed = false;
-    for (const LoopDepEdge &E : G.Edges) {
+    for (const DepEdge &E : G.Edges) {
       long long W =
           static_cast<long long>(E.Lat) - II * static_cast<long long>(E.Dist);
       if (D[E.From] + W > D[E.To]) {
@@ -96,34 +34,14 @@ bool hasPositiveCycle(const LoopDepGraph &G, long long II) {
 
 } // namespace
 
-LoopDepGraph vsc::buildLoopDepGraph(const std::vector<Instr> &Body,
-                                    const MachineModel &MM,
-                                    const AliasAnalysis *AA) {
-  LoopDepGraph G;
-  G.NumOps = static_cast<unsigned>(Body.size());
-  for (unsigned J = 0; J != G.NumOps; ++J)
-    for (unsigned I = 0; I != J; ++I)
-      addDepEdge(G.Edges, Body, I, J, /*Dist=*/0, intraScope(Body, I, J),
-                 MM, AA);
-  // Loop-carried: every operation of iteration k+1 is a potential
-  // dependent of every operation of iteration k (distance exactly 1 — the
-  // body is one chain). Cross-iteration memory queries never get the
-  // same-base displacement promise.
-  for (unsigned I = 0; I != G.NumOps; ++I)
-    for (unsigned J = 0; J != G.NumOps; ++J)
-      addDepEdge(G.Edges, Body, I, J, /*Dist=*/1,
-                 AliasScope::CrossExecution, MM, AA);
-  return G;
-}
-
-unsigned vsc::computeRecMII(const LoopDepGraph &G) {
+unsigned vsc::computeRecMII(const DepGraph &G) {
   if (G.Edges.empty() || G.NumOps == 0)
     return 1;
   // No positive cycle survives II = 1 + sum(Lat): any cycle has
   // sum(Dist) >= 1 (intra edges only run forward), so its weight is at
   // most sum(Lat) - II < 0. Binary search the smallest feasible II.
   long long Lo = 1, Hi = 1;
-  for (const LoopDepEdge &E : G.Edges)
+  for (const DepEdge &E : G.Edges)
     Hi += E.Lat;
   while (Lo < Hi) {
     long long Mid = Lo + (Hi - Lo) / 2;
@@ -155,6 +73,7 @@ MinIIAnalysis::MinIIAnalysis(const Function &F, const Cfg &G,
                              const MachineModel &M)
     : MM(M), MachineKey(machineFingerprint(M)), Flow(AA != nullptr) {
   (void)F;
+  DepGraphBuilder Builder;
   for (const Loop *L : LI.innermostLoops()) {
     LoopMinII R;
     R.Header = L->Header->label();
@@ -164,13 +83,13 @@ MinIIAnalysis::MinIIAnalysis(const Function &F, const Cfg &G,
       if (Chain.empty() || Latch != Chain.back())
         ChainOk = false;
     if (ChainOk) {
-      std::vector<Instr> Body;
       for (BasicBlock *BB : Chain)
         for (const Instr &I : BB->instrs())
-          Body.push_back(I);
-      R.BodyInstrs = static_cast<unsigned>(Body.size());
-      R.ResMII = computeResMII(Body, MM);
-      R.RecMII = computeRecMII(buildLoopDepGraph(Body, MM, AA));
+          R.Body.push_back(I);
+      R.ResMII = computeResMII(R.Body, MM);
+      Builder.build(R.Body, R.Body.size(), MM, AA, /*LoopCarried=*/true,
+                    R.Graph);
+      R.RecMII = computeRecMII(R.Graph);
       R.Modeled = true;
     }
     Loops.push_back(std::move(R));
@@ -188,7 +107,7 @@ MinIIAnalysis::forHeader(const std::string &HeaderLabel) const {
 std::string MinIIAnalysis::summarize() const {
   std::ostringstream OS;
   for (const LoopMinII &R : Loops)
-    OS << R.Header << "(body=" << R.BodyInstrs << ",res=" << R.ResMII
+    OS << R.Header << "(body=" << R.Body.size() << ",res=" << R.ResMII
        << ",rec=" << R.RecMII << ",mod=" << (R.Modeled ? 1 : 0) << ");";
   return OS.str();
 }

@@ -15,17 +15,12 @@
 ///    binary search on II with positive-cycle detection over edge weights
 ///    latency - II*distance (Bellman-Ford relaxation).
 ///
-/// The dependence graph mirrors the timing model the schedulers optimize
-/// (machine/IssueCore.h): register flow edges carry the producer's
-/// latency for the def read (MachineModel::defLatency); anti/output and memory/call ordering edges carry
-/// latency 0 (the engine imposes no cross-operation memory delay — program
-/// order decides semantics); loop-carried edges all have distance 1 (the
-/// body is a single chain, so an operation of iteration k+1 depends on
-/// iteration k at distance exactly one). Branch operations participate in
-/// resMII as BU consumers but contribute no dependence edges: the engine
-/// issues branches without waiting on their operands, so the model stays a
-/// relaxation of the engine and max(resMII, recMII) is a true lower bound
-/// on any achievable steady-state II.
+/// The dependence graph is the loop form of analysis/DepGraph.h, the
+/// graph the list scheduler reads at distance 0. Every edge is a
+/// constraint the issue engine (machine/IssueCore.h) imposes, so the model
+/// is a relaxation of the engine and max(resMII, recMII) is a true lower
+/// bound on any achievable steady-state II. Branches count toward resMII
+/// as BU consumers but get no dependence edges.
 ///
 /// MinIIAnalysis is cached by FunctionAnalyses (AnalysisKind::MinII),
 /// keyed by the machine fingerprint and the alias tier it was built with.
@@ -35,6 +30,7 @@
 #ifndef VSC_PIPELINING_MINII_H
 #define VSC_PIPELINING_MINII_H
 
+#include "analysis/DepGraph.h"
 #include "cfg/Loops.h"
 #include "ir/Module.h"
 #include "machine/MachineModel.h"
@@ -46,33 +42,9 @@ namespace vsc {
 
 class AliasAnalysis;
 
-/// One dependence edge of a loop body: operation \p To of iteration
-/// k + Dist must issue no earlier than Lat cycles after operation \p From
-/// of iteration k.
-struct LoopDepEdge {
-  unsigned From = 0;
-  unsigned To = 0;
-  unsigned Lat = 0;  ///< cycles From's result needs (0 for pure ordering)
-  unsigned Dist = 0; ///< iteration distance (0 intra, 1 loop-carried)
-};
-
-/// The loop-carried dependence graph of one flattened loop body.
-struct LoopDepGraph {
-  unsigned NumOps = 0;
-  std::vector<LoopDepEdge> Edges;
-};
-
-/// Builds the dependence graph of \p Body (the concatenated instructions
-/// of a loop chain, terminators included). Memory disambiguation goes
-/// through \p AA when non-null (CrossExecution scope for loop-carried
-/// queries), else the syntactic tier.
-LoopDepGraph buildLoopDepGraph(const std::vector<Instr> &Body,
-                               const MachineModel &MM,
-                               const AliasAnalysis *AA);
-
 /// recMII of \p G: the smallest II with no positive cycle under edge
 /// weights Lat - II*Dist. 1 when the graph is acyclic.
-unsigned computeRecMII(const LoopDepGraph &G);
+unsigned computeRecMII(const DepGraph &G);
 
 /// resMII of \p Body under \p MM's unit widths (>= 1).
 unsigned computeResMII(const std::vector<Instr> &Body,
@@ -81,12 +53,15 @@ unsigned computeResMII(const std::vector<Instr> &Body,
 /// Lower bounds for one innermost loop.
 struct LoopMinII {
   std::string Header;      ///< header block label (the loop's stable key)
-  unsigned BodyInstrs = 0; ///< flattened body size, terminators included
   unsigned ResMII = 1;
   unsigned RecMII = 1;
   /// False when the loop is outside the model: not a single chain with
   /// all back edges from the chain tail (vliw/Rename.h's loopChain).
   bool Modeled = false;
+  /// The chain's instructions in layout order, terminators included, and
+  /// their dependence graph, for the exact search (empty unless Modeled).
+  std::vector<Instr> Body;
+  DepGraph Graph;
 
   unsigned minII() const { return ResMII > RecMII ? ResMII : RecMII; }
 };

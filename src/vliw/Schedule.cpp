@@ -2,8 +2,8 @@
 
 #include "vliw/Schedule.h"
 
+#include "analysis/DepGraph.h"
 #include "analysis/Liveness.h"
-#include "analysis/MemAlias.h"
 #include "cfg/CfgEdit.h"
 #include "cfg/Dominators.h"
 #include "cfg/Loops.h"
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <span>
 
 using namespace vsc;
 
@@ -68,108 +67,14 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Dependences
-//===----------------------------------------------------------------------===//
-
-/// The register defs and uses of each instruction in a straight-line
-/// prefix Ins[0..N), collected once, each register also numbered by a
-/// dense slot (its rank among the prefix's distinct registers). Buffers
-/// are kept across reset() calls, so a reused table allocates nothing once
-/// it has seen its largest block.
-class DefUseTable {
-public:
-  void reset(const std::vector<Instr> &Instrs, size_t N) {
-    Ins = &Instrs;
-    Regs.clear();
-    Begin.clear();
-    Begin.push_back(0);
-    for (size_t I = 0; I != N; ++I) {
-      Instrs[I].collectDefs(Regs);
-      Begin.push_back(static_cast<uint32_t>(Regs.size()));
-      Instrs[I].collectUses(Regs);
-      Begin.push_back(static_cast<uint32_t>(Regs.size()));
-    }
-    Keys.resize(Regs.size());
-    for (size_t K = 0; K != Regs.size(); ++K)
-      Keys[K] = key(Regs[K]);
-    std::sort(Keys.begin(), Keys.end());
-    Keys.erase(std::unique(Keys.begin(), Keys.end()), Keys.end());
-    Slots.resize(Regs.size());
-    for (size_t K = 0; K != Regs.size(); ++K)
-      Slots[K] = slotOf(Regs[K]);
-  }
-
-  const Instr &instr(size_t I) const { return (*Ins)[I]; }
-  std::span<const uint32_t> defSlots(size_t I) const { return slots(2 * I); }
-  std::span<const uint32_t> useSlots(size_t I) const {
-    return slots(2 * I + 1);
-  }
-  size_t numSlots() const { return Keys.size(); }
-  /// Slot of a register the prefix defines or uses.
-  uint32_t slotOf(Reg R) const {
-    auto It = std::lower_bound(Keys.begin(), Keys.end(), key(R));
-    assert(It != Keys.end() && *It == key(R) && "register not in prefix");
-    return static_cast<uint32_t>(It - Keys.begin());
-  }
-
-private:
-  static uint64_t key(Reg R) {
-    return static_cast<uint64_t>(R.regClass()) << 32 | R.id();
-  }
-  std::span<const uint32_t> slots(size_t K) const {
-    return {Slots.data() + Begin[K], Slots.data() + Begin[K + 1]};
-  }
-
-  const std::vector<Instr> *Ins = nullptr;
-  std::vector<Reg> Regs;       ///< defs and uses, as collected
-  std::vector<uint32_t> Slots; ///< the slot of each Regs entry
-  std::vector<uint32_t> Begin; ///< defs of I: [2I, 2I+1), uses: [2I+1, 2I+2)
-  std::vector<uint64_t> Keys;  ///< sorted distinct register keys
-};
-
-/// Instructions the memory and call ordering rule can relate.
-bool touchesMemory(const Instr &I) { return I.isMemAccess() || I.isCall(); }
-
-/// Scope of an alias query between prefix instructions \p Earlier <
-/// \p Later when \p LastDef holds, per slot, the last position before
-/// Later that defines it (-1 for none).
-AliasScope scopeBefore(const DefUseTable &T, size_t Earlier, size_t Later,
-                       const std::vector<int32_t> &LastDef) {
-  return straightLineScope(T.instr(Earlier), T.instr(Later), [&](Reg B) {
-    return LastDef[T.slotOf(B)] > static_cast<int32_t>(Earlier);
-  });
-}
-
-/// The pairwise test: \returns true if instruction \p Later of \p T must
-/// not move above instruction \p Earlier (Earlier < Later), with
-/// \p LastDef as for scopeBefore. Register dependences are checked first,
-/// so a pair they order issues no alias query.
-bool dependsOn(const DefUseTable &T, size_t Later, size_t Earlier,
-               const std::vector<int32_t> &LastDef, const AliasAnalysis *AA) {
-  auto Intersects = [](std::span<const uint32_t> A,
-                       std::span<const uint32_t> B) {
-    for (uint32_t X : A)
-      if (std::find(B.begin(), B.end(), X) != B.end())
-        return true;
-    return false;
-  };
-  if (Intersects(T.defSlots(Earlier), T.useSlots(Later)) || // flow
-      Intersects(T.useSlots(Earlier), T.defSlots(Later)) || // anti
-      Intersects(T.defSlots(Earlier), T.defSlots(Later)))   // output
-    return true;
-  return memoryOrdered(T.instr(Earlier), T.instr(Later),
-                       scopeBefore(T, Earlier, Later, LastDef), AA);
-}
-
-//===----------------------------------------------------------------------===//
 // Local list scheduling
 //===----------------------------------------------------------------------===//
 
-/// A block prefix's dependence DAG. Its edges are a subset of the pairwise
-/// relation "Later must not move above Earlier" whose transitive closure
-/// is that whole relation (DESIGN.md §12), so it yields the same ready sets
-/// and heights. Successors are stored compressed, with each node's count
-/// of predecessors the list scheduler has yet to place.
+/// A block prefix's dependence DAG (analysis/DepGraph.h). Its edges are a
+/// subset of the pairwise relation "Later must not move above Earlier"
+/// whose transitive closure is that whole relation (DESIGN.md §12), so it
+/// yields the same ready sets and heights. Successors are stored
+/// compressed, with each node's count of unplaced predecessors.
 struct Dag {
   /// Successors of I: Succs[SuccBegin[I] .. SuccBegin[I + 1]).
   std::vector<uint32_t> SuccBegin;
@@ -180,80 +85,32 @@ struct Dag {
 
 /// The buffers one list schedule needs, reused from block to block.
 struct Scratch {
-  DefUseTable T;
+  DepGraphBuilder Builder;
+  DepGraph G;
   Dag D;
-  std::vector<std::pair<uint32_t, uint32_t>> Edges; ///< (from, to)
-  /// Per slot: the last def so far, and the head of the list (through
-  /// UseCells) of the uses since it.
-  std::vector<int32_t> LastDef, FirstUse;
-  std::vector<std::pair<uint32_t, int32_t>> UseCells; ///< (user, next)
-  std::vector<uint32_t> MemOps; ///< memory and call instructions so far
-  /// Per node: the target of its latest edge. Every edge into J is added
-  /// while the walk is at J, so this drops duplicate edges.
-  std::vector<uint32_t> EdgeMark;
   std::vector<uint32_t> Fill; ///< per node: its next free successor cell
   std::vector<uint32_t> Ready;
   std::vector<unsigned> Order;
 };
 
-/// Builds \p S.D for Ins[0..N) in one forward walk. For each register an
-/// edge runs from its last def to each use, from each use since that def
-/// to the next def, and from one def to the next. Each memory or call
-/// instruction also gets the pairwise test against every earlier one, in
-/// the order the all-pairs builder used, so the same alias queries are
-/// issued in the same order.
+/// Builds \p S.D for Ins[0..N): the distance-0 graph, with successors
+/// compressed and node-latency heights.
 void buildDag(Scratch &S, const std::vector<Instr> &Ins, size_t N,
               const MachineModel &MM, const AliasAnalysis *AA) {
-  DefUseTable &T = S.T;
-  T.reset(Ins, N);
-  S.LastDef.assign(T.numSlots(), -1);
-  S.FirstUse.assign(T.numSlots(), -1);
-  S.UseCells.clear();
-  S.MemOps.clear();
-  S.Edges.clear();
-  S.EdgeMark.assign(N, ~0u);
-  auto AddEdge = [&](uint32_t From, uint32_t To) {
-    if (From == To || S.EdgeMark[From] == To)
-      return;
-    S.EdgeMark[From] = To;
-    S.Edges.push_back({From, To});
-  };
-  for (uint32_t J = 0; J != N; ++J) {
-    if (touchesMemory(Ins[J])) {
-      for (uint32_t I : S.MemOps)
-        if (dependsOn(T, J, I, S.LastDef, AA))
-          AddEdge(I, J);
-      S.MemOps.push_back(J);
-    }
-    for (uint32_t U : T.useSlots(J)) {
-      if (S.LastDef[U] >= 0)
-        AddEdge(static_cast<uint32_t>(S.LastDef[U]), J);
-      S.UseCells.push_back({J, S.FirstUse[U]});
-      S.FirstUse[U] = static_cast<int32_t>(S.UseCells.size() - 1);
-    }
-    for (uint32_t D : T.defSlots(J)) {
-      for (int32_t C = S.FirstUse[D]; C >= 0; C = S.UseCells[C].second)
-        AddEdge(S.UseCells[C].first, J);
-      if (S.LastDef[D] >= 0)
-        AddEdge(static_cast<uint32_t>(S.LastDef[D]), J);
-      S.LastDef[D] = static_cast<int32_t>(J);
-      S.FirstUse[D] = -1;
-    }
-  }
-
+  S.Builder.build(Ins, N, MM, AA, /*LoopCarried=*/false, S.G);
   Dag &D = S.D;
   D.SuccBegin.assign(N + 1, 0);
   D.Pending.assign(N, 0);
-  for (auto [From, To] : S.Edges) {
-    ++D.SuccBegin[From + 1];
-    ++D.Pending[To];
+  for (const DepEdge &E : S.G.Edges) {
+    ++D.SuccBegin[E.From + 1];
+    ++D.Pending[E.To];
   }
   for (size_t I = 0; I != N; ++I)
     D.SuccBegin[I + 1] += D.SuccBegin[I];
-  D.Succs.resize(S.Edges.size());
+  D.Succs.resize(S.G.Edges.size());
   S.Fill.assign(D.SuccBegin.begin(), D.SuccBegin.end() - 1);
-  for (auto [From, To] : S.Edges)
-    D.Succs[S.Fill[From]++] = To;
+  for (const DepEdge &E : S.G.Edges)
+    D.Succs[S.Fill[E.From]++] = E.To;
 
   // Heights: latency-weighted longest path to the end of the block, plus a
   // bonus for compares feeding any terminator of the block (they want to
@@ -847,17 +704,6 @@ void restoreChain(const ChainSnapshot &S,
   PH->instrs() = S.Preheader;
 }
 
-/// Flattens the chain's instructions (terminators included) in layout
-/// order — the body shape pipelining/MinII.h's dependence graph and the
-/// exact scheduler's cycle vector are indexed by.
-std::vector<Instr> flattenChain(const std::vector<BasicBlock *> &Chain) {
-  std::vector<Instr> Body;
-  for (BasicBlock *BB : Chain)
-    for (const Instr &I : BB->instrs())
-      Body.push_back(I);
-  return Body;
-}
-
 /// Emits the exact schedule: each block's non-terminator prefix is
 /// reordered by (exact cycle, original index). Every intra-iteration
 /// dependence edge i -> j forces cycle(j) >= cycle(i), and the stable tie
@@ -980,19 +826,14 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
     if (!L.contains(E.To))
       TailExitTargets.push_back(E.To);
 
+  // The min-II record (same shape checks) carries the chain's body and its
+  // graph for the exact search; nothing has reordered the chain since.
   const bool Exact = PO.Exact != ExactPipelineMode::Off;
   LoopMinII MinRec;
-  LoopDepGraph DepGraph;
-  std::vector<Instr> OrigBody;
-  if (Exact) {
+  if (Exact)
     if (const LoopMinII *R =
             FA.minII(MM, PO.FlowAlias).forHeader(HeaderLabel))
       MinRec = *R;
-    OrigBody = flattenChain(Chain);
-    if (MinRec.Modeled && OrigBody.size() <= PO.ExactOpts.MaxBodyInstrs)
-      DepGraph = buildLoopDepGraph(
-          OrigBody, MM, PO.FlowAlias ? &FA.aliasAnalysis() : nullptr);
-  }
 
   BasicBlock *PH = ensurePreheader(F, G, L);
   ChainSnapshot OrigSnap;
@@ -1016,8 +857,8 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
     }
     Best = Now;
     ++Kept;
-    // Instruction motion with no block edit: the epoch cannot catch it.
-    FA.invalidateAll();
+    // Rotation edits non-terminators only (DESIGN.md §9).
+    FA.invalidate(PreservedAnalyses::structure());
   }
 
   if (!Exact)
@@ -1026,8 +867,7 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
   LoopPipelineRecord Rec;
   Rec.Function = F.name();
   Rec.Header = HeaderLabel;
-  Rec.BodyInstrs =
-      MinRec.Modeled ? MinRec.BodyInstrs : static_cast<unsigned>(OrigBody.size());
+  Rec.BodyInstrs = static_cast<unsigned>(MinRec.Body.size());
   Rec.ResMII = MinRec.ResMII;
   Rec.RecMII = MinRec.RecMII;
   Rec.HeuristicII = Best;
@@ -1037,11 +877,10 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
   // The exact sweep is capped at the heuristic's achieved II: the engine's
   // steady state induces a valid modulo schedule, so anything the search
   // finds at a lower II is a genuine gap, and finding one AT the cap
-  // proves the heuristic optimal (gap 0).
-  if (MinRec.Modeled && !OrigBody.empty() &&
-      OrigBody.size() <= PO.ExactOpts.MaxBodyInstrs &&
-      MinRec.minII() <= Best) {
-    ExactSchedule ES = exactScheduleLoop(OrigBody, DepGraph, MM,
+  // proves the heuristic optimal (gap 0). Oversized bodies come back
+  // Infeasible after 0 nodes.
+  if (MinRec.minII() <= Best) {
+    ExactSchedule ES = exactScheduleLoop(MinRec.Body, MinRec.Graph, MM,
                                          MinRec.minII(), Best, PO.ExactOpts);
     Rec.ExactII = ES.II;
     Rec.Verdict = ES.Verdict;
@@ -1061,7 +900,8 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
         Rec.Applied = true;
       }
       restoreChain(BestSnap, Chain, PH);
-      FA.invalidateAll();
+      // Snapshots put back the same terminator suffixes.
+      FA.invalidate(PreservedAnalyses::structure());
       // Candidate 2: rotation lookahead through the existing rotation
       // machinery — unlike the greedy loop, a non-improving rotation is
       // kept as the starting point of the next one; the best state seen
@@ -1072,7 +912,7 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
         if (!tryRotate(F, MM, M, Chain, PH, TailExitTargets, PO.FlowAlias,
                        FA, Snap, Now))
           break;
-        FA.invalidateAll();
+        FA.invalidate(PreservedAnalyses::structure());
         if (Now < BestII) {
           BestII = Now;
           BestSnap = snapshotChain(Chain, PH);
@@ -1080,7 +920,7 @@ unsigned pipelineLoop(Function &F, const MachineModel &MM, const Module &M,
         }
       }
       restoreChain(BestSnap, Chain, PH);
-      FA.invalidateAll();
+      FA.invalidate(PreservedAnalyses::structure());
       Rec.AchievedII = BestII;
     }
   }

@@ -88,6 +88,28 @@ exit:
 }
 )";
 
+/// A load whose result is overwritten before anything reads it: the add
+/// reads the LI's r40, so no edge runs from the load to the add, and the
+/// only recurrence through the load is its base, updated by the add.
+const char *DeadLoadText = R"(
+global tab : 64
+func main(0) {
+entry:
+  LI r32 = 9
+  MTCTR r32
+  LTOC r33 = .tab
+loop:
+  L r40 = 0(r33) !tab
+  LI r40 = 0
+  A r33 = r33, r40
+  BCT loop
+exit:
+  LR r3 = r33
+  CALL print_int, 1
+  RET
+}
+)";
+
 PipelineOptions exactOptions(ExactPipelineMode Mode, PipelineStats *Stats) {
   PipelineOptions Opts;
   Opts.ExactPipelining = Mode;
@@ -120,7 +142,7 @@ TEST(MinII, ResourceBoundTracksMachineWidth) {
   ASSERT_EQ(Narrow.loops().size(), 1u);
   const LoopMinII &L1 = Narrow.loops()[0];
   EXPECT_TRUE(L1.Modeled);
-  EXPECT_EQ(L1.BodyInstrs, 4u);
+  EXPECT_EQ(L1.Body.size(), 4u);
   EXPECT_EQ(L1.ResMII, 3u);
   EXPECT_EQ(L1.minII(), 3u);
 
@@ -140,6 +162,34 @@ TEST(MinII, PointerChaseRecurrenceDominates) {
   EXPECT_EQ(L.ResMII, 1u);
   EXPECT_EQ(L.RecMII, 2u);
   EXPECT_EQ(L.minII(), 2u);
+}
+
+TEST(MinII, BoundNeverExceedsTheEngine) {
+  // min-II is a lower bound only if every edge of its graph is one the
+  // issue engine imposes. A flow edge from the load to the add, across the
+  // LI that redefines r40, would put recMII at 3 on power2, above the 2
+  // cycles per iteration the engine reaches on this very block.
+  auto M = parseOrDie(DeadLoadText);
+  Function &F = *M->findFunction("main");
+  BasicBlock *Loop = nullptr;
+  for (auto &BB : F.blocks())
+    if (BB->label() == "loop")
+      Loop = BB.get();
+  ASSERT_NE(Loop, nullptr);
+  for (const MachineModel &MM : {rs6000(), power2(), ppc601()}) {
+    MinIIAnalysis A = analyzeMinII(F, MM);
+    ASSERT_EQ(A.loops().size(), 1u);
+    EXPECT_LE(A.loops()[0].minII(), estimateSteadyStateCycles({Loop}, MM))
+        << MM.Name;
+  }
+
+  MinIIAnalysis A = analyzeMinII(F, power2());
+  const LoopMinII &L = A.loops()[0];
+  EXPECT_EQ(L.RecMII, 2u);
+  ExactSchedule S = exactScheduleLoop(L.Body, L.Graph, power2(), L.minII(), 8,
+                                      ExactPipelinerOptions());
+  EXPECT_EQ(S.Verdict, ExactVerdict::Optimal);
+  EXPECT_EQ(S.II, 2u);
 }
 
 TEST(MinII, CachedByMachineFingerprint) {
@@ -176,7 +226,9 @@ TEST(ExactPipeliner, ProvesOptimalityAtTheResourceBound) {
   Function &F = *M->findFunction("main");
   std::vector<Instr> Body = loopBody(F, "loop");
   ASSERT_EQ(Body.size(), 4u);
-  LoopDepGraph G = buildLoopDepGraph(Body, rs6000(), nullptr);
+  DepGraph G;
+  DepGraphBuilder().build(Body, Body.size(), rs6000(), nullptr,
+                          /*LoopCarried=*/true, G);
   EXPECT_EQ(computeResMII(Body, rs6000()), 3u);
 
   ExactPipelinerOptions Opts;
@@ -197,7 +249,9 @@ TEST(ExactPipeliner, RecurrenceMakesLowIIProvablyInfeasible) {
   auto M = parseOrDie(PointerChaseText);
   Function &F = *M->findFunction("main");
   std::vector<Instr> Body = loopBody(F, "loop");
-  LoopDepGraph G = buildLoopDepGraph(Body, rs6000(), nullptr);
+  DepGraph G;
+  DepGraphBuilder().build(Body, Body.size(), rs6000(), nullptr,
+                          /*LoopCarried=*/true, G);
 
   ExactPipelinerOptions Opts;
   // Capped below recMII: the self edge is refuted without search, so the
@@ -215,7 +269,9 @@ TEST(ExactPipeliner, BudgetCutReportsBudgetExceeded) {
   auto M = parseOrDie(IndependentAddsText);
   Function &F = *M->findFunction("main");
   std::vector<Instr> Body = loopBody(F, "loop");
-  LoopDepGraph G = buildLoopDepGraph(Body, rs6000(), nullptr);
+  DepGraph G;
+  DepGraphBuilder().build(Body, Body.size(), rs6000(), nullptr,
+                          /*LoopCarried=*/true, G);
 
   ExactPipelinerOptions Opts;
   Opts.NodeBudget = 0;
@@ -228,7 +284,9 @@ TEST(ExactPipeliner, OversizedBodyIsOutsideTheModel) {
   auto M = parseOrDie(IndependentAddsText);
   Function &F = *M->findFunction("main");
   std::vector<Instr> Body = loopBody(F, "loop");
-  LoopDepGraph G = buildLoopDepGraph(Body, rs6000(), nullptr);
+  DepGraph G;
+  DepGraphBuilder().build(Body, Body.size(), rs6000(), nullptr,
+                          /*LoopCarried=*/true, G);
   ExactPipelinerOptions Opts;
   Opts.MaxBodyInstrs = 2;
   ExactSchedule S = exactScheduleLoop(Body, G, rs6000(), 1, 8, Opts);

@@ -58,9 +58,11 @@ RunResult runIt(const Module &M, const MachineModel &Machine) {
 /// exercise both checkers across the whole pipeline (each aborts the
 /// process on a finding, with the FuzzContext reproduction info). The
 /// alias audit rides along: every NoAlias claim the pipeline issues on
-/// these programs is validated against runtime addresses.
-PipelineOptions auditedOptions() {
+/// these programs is validated against runtime addresses. The grading
+/// records go to \p Stats, for expectBoundsHold.
+PipelineOptions auditedOptions(PipelineStats *Stats = nullptr) {
   PipelineOptions Opts;
+  Opts.Stats = Stats;
   Opts.Audit = AuditLevel::Boundaries;
   Opts.Oracle = OracleLevel::Boundaries;
   Opts.AliasAudit = true;
@@ -72,6 +74,19 @@ PipelineOptions auditedOptions() {
   Opts.ExactPipelining = ExactPipelineMode::Grade;
   Opts.ExactPipeline.NodeBudget = 20000;
   return Opts;
+}
+
+/// min-II is a lower bound (DESIGN.md §16): no graded loop's bound may
+/// exceed the II the heuristic reached or the one the exact search found.
+void expectBoundsHold(const PipelineStats &S, const std::string &Context) {
+  for (const LoopPipelineRecord &R : S.PipelineLoops) {
+    EXPECT_LE(R.minII(), R.HeuristicII)
+        << Context << ": loop " << R.Header << " in @" << R.Function;
+    if (R.ExactII != 0) {
+      EXPECT_LE(R.minII(), R.ExactII)
+          << Context << ": loop " << R.Header << " in @" << R.Function;
+    }
+  }
 }
 
 } // namespace
@@ -89,7 +104,9 @@ TEST_P(FuzzTest, AllLevelsAgree) {
   for (OptLevel L : {OptLevel::Classical, OptLevel::Vliw}) {
     auto M = compileSeed(Seed);
     ASSERT_TRUE(M);
-    optimize(*M, L, auditedOptions());
+    PipelineStats Stats;
+    optimize(*M, L, auditedOptions(&Stats));
+    expectBoundsHold(Stats, "seed " + std::to_string(Seed));
     ASSERT_EQ(verifyModule(*M), "") << "seed " << Seed;
     RunResult R = runIt(*M, rs6000());
     EXPECT_EQ(RB.fingerprint(), R.fingerprint())
@@ -103,9 +120,11 @@ TEST_P(FuzzTest, MachinesAgreeFunctionally) {
   FuzzContext Ctx(Seed);
   auto M = compileSeed(Seed);
   ASSERT_TRUE(M);
-  PipelineOptions Opts = auditedOptions();
+  PipelineStats Stats;
+  PipelineOptions Opts = auditedOptions(&Stats);
   Opts.Machine = power2();
   optimize(*M, OptLevel::Vliw, Opts);
+  expectBoundsHold(Stats, "seed " + std::to_string(Seed) + " on power2");
   RunResult R1 = runIt(*M, rs6000());
   RunResult R2 = runIt(*M, power2());
   RunResult R3 = runIt(*M, ppc601());
@@ -131,9 +150,11 @@ TEST_P(FuzzTest, PdfAgrees) {
   PO.Train.front().MaxInstrs = 20'000'000;
   PdfFeedback F = collectPdfFeedback(*Target, PO, Target.get());
   ASSERT_TRUE(F.ok()) << "seed " << Seed << ": " << F.Error;
-  PipelineOptions Opts = auditedOptions();
+  PipelineStats Stats;
+  PipelineOptions Opts = auditedOptions(&Stats);
   Opts.Profile = &F.Feedback;
   optimize(*Target, OptLevel::Vliw, Opts);
+  expectBoundsHold(Stats, "seed " + std::to_string(Seed) + " with profile");
   ASSERT_EQ(verifyModule(*Target), "") << "seed " << Seed;
   RunResult R = runIt(*Target, rs6000());
   EXPECT_EQ(RB.fingerprint(), R.fingerprint())
@@ -212,7 +233,10 @@ TEST_P(ShapedFuzzTest, AllLevelsAgree) {
     for (OptLevel L : {OptLevel::Classical, OptLevel::Vliw}) {
       auto M = compileShaped(Seed, Shape);
       ASSERT_TRUE(M);
-      optimize(*M, L, auditedOptions());
+      PipelineStats Stats;
+      optimize(*M, L, auditedOptions(&Stats));
+      expectBoundsHold(Stats, "seed " + std::to_string(Seed) + " shape " +
+                                  shapeName(Shape));
       ASSERT_EQ(verifyModule(*M), "")
           << "seed " << Seed << " shape " << shapeName(Shape);
       RunResult R = runIt(*M, rs6000());
@@ -242,9 +266,12 @@ TEST_P(ShapedFuzzTest, PdfAgreesAcrossMachines) {
     PdfFeedback F = collectPdfFeedback(*Target, PO, Target.get());
     ASSERT_TRUE(F.ok()) << "seed " << Seed << " shape " << shapeName(Shape)
                         << ": " << F.Error;
-    PipelineOptions Opts = auditedOptions();
+    PipelineStats Stats;
+    PipelineOptions Opts = auditedOptions(&Stats);
     Opts.Profile = &F.Feedback;
     optimize(*Target, OptLevel::Vliw, Opts);
+    expectBoundsHold(Stats, "seed " + std::to_string(Seed) + " shape " +
+                                shapeName(Shape) + " with profile");
     ASSERT_EQ(verifyModule(*Target), "")
         << "seed " << Seed << " shape " << shapeName(Shape);
     for (const MachineModel &MM : {rs6000(), power2(), ppc601()}) {
